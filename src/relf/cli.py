@@ -13,7 +13,6 @@ failed cells.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -187,14 +186,13 @@ def cmd_predict(args) -> int:
         print(f"mae: {mae(y, yhat):.6f}")
         print(f"rmse: {rmse(y, yhat):.6f}")
     if args.output:
+        header, columns = "prediction", [yhat.tolist()]
+        if y is not None:
+            header, columns = "prediction,label", columns + [y.tolist()]
+        # repr floats never need quoting; "\r\n" ends rows as csv.writer does
+        lines = [header] + [",".join(map(repr, row)) for row in zip(*columns)]
         with open(args.output, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["prediction"] + (["label"] if y is not None else []))
-            for i, value in enumerate(yhat):
-                row = [repr(float(value))]
-                if y is not None:
-                    row.append(repr(float(y[i])))
-                writer.writerow(row)
+            fh.write("\r\n".join(lines) + "\r\n")
         print(f"predictions: {args.output} ({len(yhat)} rows)")
     else:
         for value in yhat:

@@ -11,6 +11,8 @@ with either Gaussian label noise or injected label outliers.
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -122,17 +124,72 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
     """Load a dense CSV file.
 
     ``label_column`` is a 0-based column index, or a header name when
-    ``has_header`` is true.  All cells must parse as floats; rows of uneven
-    width raise :class:`RaggedRowsError`, unparseable cells raise
-    :class:`ParseError` with 1-based file coordinates.
+    ``has_header`` is true.  The header is the first non-blank row; rows
+    whose cells are all blank are skipped and cells may be double-quoted.  All
+    cells must parse as floats; rows of uneven width, or a header wider
+    than the rows, raise :class:`RaggedRowsError`; unparseable cells raise
+    :class:`ParseError` with 1-based coordinates, where rows count
+    non-blank rows.
+
+    The data rows are parsed in one call to numpy's C parser.  Only a file
+    it refuses is parsed again cell by cell, which either accepts it too or
+    names the first bad cell.
     """
     try:
-        with open(path, newline="") as fh:
-            lines = list(csv.reader(fh))
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DataIOError(f"cannot read {path}: {exc}") from exc
 
-    lines = [row for row in lines if any(cell.strip() for cell in row)]
+    parsed = None
+    if not any(byte in raw for byte in _NUMPY_ONLY_SPACE):
+        parsed = _parse_bulk(_text(raw), has_header)
+    if parsed is None:
+        parsed = _parse_checked(_text(raw), path, label_column, has_header)
+    header, rows = parsed
+    return _split_label(rows, header, label_column)
+
+
+# numpy strips these ASCII separators around a number as whitespace, but
+# float() rejects them: files holding one take the cell-by-cell parse
+_NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
+
+
+def _text(raw: bytes):
+    """Text stream over ``raw``, decoded as ``open(path, newline="")`` would."""
+    return io.TextIOWrapper(io.BytesIO(raw), newline="")
+
+
+def _has_content(row) -> bool:
+    return any(cell.strip() for cell in row)
+
+
+def _parse_bulk(stream, has_header: bool):
+    """``(header, rows)`` with all data rows parsed by ``np.loadtxt``, or
+    None if numpy refuses the file or finds no data rows."""
+    header = None
+    if has_header:
+        row = next(filter(_has_content, csv.reader(stream)), None)
+        if row is None:
+            return None
+        header = [cell.strip() for cell in row]
+    try:
+        with warnings.catch_warnings():
+            # numpy only warns, rather than raises, on input without data
+            warnings.simplefilter("error", UserWarning)
+            rows = np.loadtxt(stream, delimiter=",", comments=None,
+                              quotechar='"', ndmin=2, dtype=float)
+    except (ValueError, UserWarning):
+        return None
+    return header, rows
+
+
+def _parse_checked(stream, path, label_column, has_header: bool):
+    """``(header, rows)`` parsed cell by cell with ``float()``.
+
+    Raises the loader's file errors; row numbers count non-blank rows.
+    """
+    lines = [row for row in csv.reader(stream) if _has_content(row)]
     if not lines:
         raise EmptyFileError(f"{path} holds no rows")
 
@@ -145,19 +202,7 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
         raise EmptyFileError(f"{path} holds no data rows")
 
     width = len(lines[first_data])
-    if isinstance(label_column, str):
-        if header is None:
-            raise DataError("label column by name requires a header")
-        try:
-            label_idx = header.index(label_column)
-        except ValueError:
-            raise DataError(
-                f"label column {label_column!r} not in header {header}") from None
-    else:
-        label_idx = int(label_column)
-        if not (0 <= label_idx < width):
-            raise DataError(
-                f"label column {label_idx} out of range for {width} columns")
+    _label_index(label_column, header, width)  # label errors come first
 
     rows = np.empty((len(lines) - first_data, width))
     for i, row in enumerate(lines[first_data:]):
@@ -171,10 +216,35 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
             except ValueError:
                 raise ParseError(f"cannot parse {cell.strip()!r} as float",
                                  row=file_line, col=j + 1) from None
+    return header, rows
 
+
+def _label_index(label_column, header, width: int) -> int:
+    if isinstance(label_column, str):
+        if header is None:
+            raise DataError("label column by name requires a header")
+        try:
+            return header.index(label_column)
+        except ValueError:
+            raise DataError(
+                f"label column {label_column!r} not in header {header}") from None
+    label_idx = int(label_column)
+    if not (0 <= label_idx < width):
+        raise DataError(
+            f"label column {label_idx} out of range for {width} columns")
+    return label_idx
+
+
+def _split_label(rows: np.ndarray, header, label_column) -> Dataset:
+    width = rows.shape[1]
+    label_idx = _label_index(label_column, header, width)
+    if header is not None and len(header) > width:
+        raise RaggedRowsError(
+            f"header line has {len(header)} cells, data rows have {width}")
     mask = np.ones(width, dtype=bool)
     mask[label_idx] = False
-    names = tuple(h for j, h in enumerate(header) if mask[j]) if header else None
+    names = None if header is None else tuple(
+        h for j, h in enumerate(header) if j != label_idx)
     return Dataset(X=rows[:, mask], y=rows[:, label_idx], feature_names=names)
 
 

@@ -339,19 +339,36 @@ def _load_manifest_dataset(entry: dict, base: Path) -> Dataset:
     raise DataError(f"unknown dataset format {fmt!r} for {entry.get('name')!r}")
 
 
+# manifest keys whose value the harness reads outside a per-cell guard
+_MANIFEST_TYPES = {
+    "datasets": (list, "a list"),
+    "methods": (list, "a list"),
+    "contamination_levels": (list, "a list"),
+    "cv": (dict, "an object"),
+    "solver": (dict, "an object"),
+    "outlier_magnitude": ((int, float), "a number"),
+    "outlier_seed": (int, "an integer"),
+}
+
+
 def _validate_manifest(manifest: dict) -> None:
     if not isinstance(manifest, dict):
         raise DataError("manifest must be a JSON object")
-    for key in ("datasets", "methods"):
-        if not isinstance(manifest.get(key, []), list):
-            raise DataError(f"manifest {key!r} must be a list")
+    for key, (kind, what) in _MANIFEST_TYPES.items():
+        if key in manifest and not isinstance(manifest[key], kind):
+            raise DataError(f"manifest {key!r} must be {what}")
+    for key in ("folds", "seed"):
+        if not isinstance(manifest.get("cv", {}).get(key, 0), int):
+            raise DataError(f"manifest cv {key!r} must be an integer")
     for entry in manifest.get("datasets", []):
-        if "name" not in entry:
-            raise DataError("every dataset entry needs a 'name'")
-    levels = manifest.get("contamination_levels", [0.0, 0.3])
-    for level in levels:
-        if not (0.0 <= float(level) <= 1.0):
-            raise DataError(f"contamination level {level!r} outside [0, 1]")
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise DataError("every dataset entry needs a 'name' string")
+    for method in manifest.get("methods", []):
+        if not isinstance(method, str):
+            raise DataError(f"manifest methods must be strings, got {method!r}")
+    for level in manifest.get("contamination_levels", []):
+        if not (isinstance(level, (int, float)) and 0.0 <= level <= 1.0):
+            raise DataError(f"contamination level {level!r} is not a number in [0, 1]")
 
 
 def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:

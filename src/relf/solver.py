@@ -27,8 +27,10 @@ large share.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
@@ -128,9 +130,10 @@ def update_w(ds: Dataset, P: np.ndarray, alpha: float) -> np.ndarray:
     return linalg.solve_spd_with_jitter(A, b, alpha)
 
 
-def objective(ensemble: EnsembleSpec, w, ds: Dataset) -> float:
-    """Pooled (unweighted) empirical risk ``sum_i sum_k phi_k(e_i)``."""
-    e = residuals(w, ds)
+def objective(ensemble: EnsembleSpec, e) -> float:
+    """Pooled (unweighted) empirical risk ``sum_i sum_k phi_k(e_i)`` of the
+    residuals ``e`` (see :func:`residuals`)."""
+    e = np.asarray(e, dtype=float)
     return float(sum(np.sum(phi(spec, e)) for spec in ensemble.losses))
 
 
@@ -165,11 +168,12 @@ def fit(ds: Dataset, ensemble: EnsembleSpec, config: SolverConfig | None = None)
     steps: list[float] = []
     converged = False
     P = None
+    e = residuals(w, ds)
     for _ in range(config.max_iters):
-        e = ds.y - ds.X @ w
         P = update_p(ensemble, e)
         w_next = update_w(ds, P, config.alpha)
-        risk = objective(ensemble, w_next, ds)
+        e = residuals(w_next, ds)
+        risk = objective(ensemble, e)
         if not np.isfinite(risk) or not np.all(np.isfinite(w_next)):
             raise NonFiniteObjectiveError(
                 f"objective became non-finite at iteration {len(risks) + 1}")
@@ -267,28 +271,95 @@ def model_to_dict(model: RelfModel, preprocessing: dict | None = None) -> dict:
 
 
 def model_from_dict(payload: dict) -> tuple[RelfModel, dict]:
-    """Inverse of :func:`model_to_dict`; returns (model, preprocessing)."""
+    """Inverse of :func:`model_to_dict`; returns (model, preprocessing).
+
+    Raises :class:`RelfError` for a payload that :func:`model_to_dict`
+    could not have written: a missing key, a value of the wrong type, a
+    non-finite number, an invalid ensemble or config, or a ``w`` whose
+    length disagrees with the scaler width plus the intercept.
+    """
+    if not isinstance(payload, dict):
+        raise RelfError("model JSON must be an object")
     if payload.get("schema") != MODEL_SCHEMA:
         raise RelfError(f"unsupported model schema {payload.get('schema')!r}")
     ensemble = EnsembleSpec(tuple(
-        LossSpec(kind=e["kind"], scale=float(e["scale"]))
-        for e in payload["ensemble"]))
-    cfg = payload["config"]
-    config = SolverConfig(alpha=cfg["alpha"], max_iters=cfg["max_iters"],
-                          rel_tol=cfg["rel_tol"], init=cfg["init"],
-                          init_seed=cfg["init_seed"], init_std=cfg["init_std"])
+        LossSpec(kind=_field(e, "kind", str, "model loss"),
+                 scale=float(_field(e, "scale", float, "model loss")))
+        for e in _field(payload, "ensemble", list, "model")))
+    validate_ensemble(ensemble)
+    cfg = _field(payload, "config", dict, "model")
+    config = SolverConfig(**{name: _field(cfg, name, kind, "model config")
+                             for name, kind in get_type_hints(SolverConfig).items()})
+    config.validate()
+    w = _numbers(payload, "w", "model")
+    loss_weights = _numbers(payload, "loss_weights", "model")
+    if loss_weights.shape != (ensemble.m,):
+        raise RelfError(f"model has {loss_weights.shape[0]} loss weights "
+                        f"for {ensemble.m} losses")
     tr = payload.get("trace")
     trace = None if tr is None else SolverTrace(
-        risks=np.asarray(tr["risks"], dtype=float),
-        max_steps=np.asarray(tr["max_steps"], dtype=float),
-        iterations=int(tr["iterations"]),
-        converged=bool(tr["converged"]),
+        risks=_numbers(tr, "risks", "model trace"),
+        max_steps=_numbers(tr, "max_steps", "model trace"),
+        iterations=_field(tr, "iterations", int, "model trace"),
+        converged=_field(tr, "converged", bool, "model trace"),
     )
-    model = RelfModel(
-        w=np.asarray(payload["w"], dtype=float),
-        loss_weights=np.asarray(payload["loss_weights"], dtype=float),
-        ensemble=ensemble, config=config, trace=trace)
-    return model, payload.get("preprocessing") or {"intercept": False, "scaler": None}
+    preprocessing = payload.get("preprocessing") or {"intercept": False, "scaler": None}
+    _check_preprocessing(preprocessing, w.shape[0])
+    model = RelfModel(w=w, loss_weights=loss_weights, ensemble=ensemble,
+                      config=config, trace=trace)
+    return model, preprocessing
+
+
+_KIND_NAMES = {str: "a string", bool: "a boolean", int: "an integer",
+               float: "a finite number", list: "a list", dict: "an object"}
+
+
+def _conforms(value, kind: type) -> bool:
+    """JSON typing: ``float`` takes any finite number, and a boolean is no
+    ``int``."""
+    if kind in (int, float) and isinstance(value, bool):
+        return False
+    if kind is float:
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            return False
+    return isinstance(value, kind)
+
+
+def _field(obj, key: str, kind: type, where: str):
+    """``obj[key]`` if ``obj`` is a JSON object whose ``key`` holds a
+    ``kind`` value; :class:`RelfError` otherwise."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise RelfError(f"{where} lacks {key!r}")
+    if not _conforms(obj[key], kind):
+        raise RelfError(f"{where} {key!r} must be {_KIND_NAMES[kind]}")
+    return obj[key]
+
+
+def _numbers(obj, key: str, where: str) -> np.ndarray:
+    values = _field(obj, key, list, where)
+    if not all(_conforms(v, float) for v in values):
+        raise RelfError(f"{where} {key!r} must be a list of finite numbers")
+    return np.asarray(values, dtype=float)
+
+
+def _check_preprocessing(preprocessing, width: int) -> None:
+    if not isinstance(preprocessing, dict):
+        raise RelfError("model 'preprocessing' must be an object")
+    intercept = preprocessing.get("intercept", False)
+    if not isinstance(intercept, bool):
+        raise RelfError("model preprocessing 'intercept' must be a boolean")
+    scaler = preprocessing.get("scaler")
+    if scaler is None:
+        return
+    lo = _numbers(scaler, "feature_min", "model scaler")
+    hi = _numbers(scaler, "feature_max", "model scaler")
+    if lo.shape != hi.shape:
+        raise RelfError(f"model scaler has {lo.shape[0]} minima and {hi.shape[0]} maxima")
+    if width != lo.shape[0] + intercept:
+        raise RelfError(f"model has {width} weights, but its preprocessing "
+                        f"yields {lo.shape[0] + intercept} columns")
 
 
 def save_model(model: RelfModel, path, preprocessing: dict | None = None) -> None:

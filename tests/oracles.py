@@ -3,9 +3,12 @@
 Deliberately written in plain Python loops with their own formulas so they
 share no code path with the library: Gaussian elimination instead of
 Cholesky, per-kind weight formulas instead of the catalog's delta, and
-finite differences instead of analytic derivatives.
+finite differences instead of analytic derivatives.  The one exception is
+:func:`two_matvec_fit`, which pins the solver loop bit for bit and so must
+run the library's own P- and w-steps.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -97,3 +100,39 @@ def mc_mean_abs_gaussian(std: float, draws: int = 200_000, seed: int = 1234) -> 
     """Monte-Carlo estimate of E|z| for z ~ N(0, std^2)."""
     z = np.random.default_rng(seed).normal(0.0, std, size=draws)
     return float(np.mean(np.abs(z)))
+
+
+def csv_rows_oracle(path, has_header: bool):
+    """``(header, rows)`` of a CSV file read with ``csv.reader`` and one
+    ``float()`` per cell; rows whose cells are all blank are dropped."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
+    header = None
+    if has_header:
+        header = [cell.strip() for cell in rows.pop(0)]
+    return header, np.array([[float(cell) for cell in row] for row in rows])
+
+
+def two_matvec_fit(ds, ensemble, config):
+    """The alternating loop with the residual computed twice per iteration:
+    once for the P-step and once more for the risk of the new iterate.
+    Returns ``(w, risks)``."""
+    from relf.losses import phi
+    from relf.solver import INIT_GAUSSIAN, update_p, update_w
+
+    if config.init == INIT_GAUSSIAN:
+        w = np.random.default_rng(config.init_seed).normal(0.0, config.init_std, size=ds.d)
+    else:
+        w = np.zeros(ds.d)
+    risks = []
+    for _ in range(config.max_iters):
+        e = ds.y - ds.X @ w
+        w_next = update_w(ds, update_p(ensemble, e), config.alpha)
+        e_next = ds.y - ds.X @ w_next
+        risk = float(sum(np.sum(phi(spec, e_next)) for spec in ensemble.losses))
+        done = bool(risks) and abs(risks[-1] - risk) <= config.rel_tol * max(1.0, risks[-1])
+        risks.append(risk)
+        w = w_next
+        if done:
+            break
+    return w, np.asarray(risks)

@@ -1,10 +1,11 @@
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from relf import NoiseConfig, synth_line
+from relf import NoiseConfig, load_csv, load_model, predict, synth_line
 from relf.cli import main
 from relf.data import NOISE_GAUSSIAN
 
@@ -78,6 +79,14 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert "ensemble" in err
+
+    def test_header_wider_than_rows(self, tmp_path, capsys):
+        data = tmp_path / "wide.csv"
+        data.write_text("x,y,z\n1,2\n3,4\n")
+        code = main(["fit", "--data", str(data), "--label-column", "y"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: header line has 3 cells, data rows have 2\n"
 
     def test_unknown_flag(self, capsys):
         code = main(["fit", "--data", "x.csv", "--label-column", "y",
@@ -164,6 +173,60 @@ class TestPredictCommand:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("with_labels", [True, False])
+    def test_predictions_file_bytes(self, tmp_path, capsys, with_labels):
+        data, model_path = self._fit_model(tmp_path, capsys)
+        ds = load_csv(data, "y")
+        argv = ["predict", "--model", str(model_path), "--output", str(tmp_path / "p.csv")]
+        if with_labels:
+            argv += ["--data", str(data), "--label-column", "y"]
+        else:
+            feats = tmp_path / "x.csv"
+            feats.write_text("x\n" + "".join(f"{v!r}\n" for v in ds.X[:, 0].tolist()))
+            argv += ["--data", str(feats)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        model, _ = load_model(model_path)
+        yhat = predict(model, np.hstack([ds.X, np.ones((ds.n, 1))]))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["prediction"] + (["label"] if with_labels else []))
+        for i, value in enumerate(yhat):
+            writer.writerow([repr(float(value))]
+                            + ([repr(float(ds.y[i]))] if with_labels else []))
+        assert (tmp_path / "p.csv").read_bytes() == expected.getvalue().encode()
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda m: m.pop("ensemble"), "lacks 'ensemble'"),
+        (lambda m: m.pop("config"), "lacks 'config'"),
+        (lambda m: m["config"].pop("alpha"), "lacks 'alpha'"),
+        (lambda m: m["config"].update(max_iters="30"), "'max_iters' must be an integer"),
+        (lambda m: m.update(w="0.5"), "'w' must be a list"),
+        (lambda m: m.update(w=[1.0, None]), "'w' must be a list of finite numbers"),
+        (lambda m: m.update(loss_weights=[1.0]), "1 loss weights for 3 losses"),
+        (lambda m: m["ensemble"].append({"kind": "l2"}), "loss lacks 'scale'"),
+        (lambda m: m["ensemble"][0].update(kind="l2"), "unknown loss kind"),
+        (lambda m: m.update(w=m["w"] + [0.0]), "3 weights, but its preprocessing yields 2"),
+        (lambda m: m["trace"].pop("risks"), "trace lacks 'risks'"),
+        (lambda m: m["preprocessing"]["scaler"].pop("feature_max"), "scaler lacks 'feature_max'"),
+        (lambda m: m.update(preprocessing=["x"]), "'preprocessing' must be an object"),
+    ])
+    def test_malformed_model(self, tmp_path, capsys, mutate, message):
+        data = _write_toy_csv(tmp_path / "toy.csv")
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data), "--label-column", "y", "--scale",
+                     "--output", str(model_path)]) == 0
+        capsys.readouterr()
+        payload = json.loads(model_path.read_text())
+        mutate(payload)
+        model_path.write_text(json.dumps(payload))
+        code = main(["predict", "--model", str(model_path), "--data", str(data),
+                     "--label-column", "y"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert message in err
+
     def test_missing_model(self, tmp_path, capsys):
         code = main(["predict", "--model", str(tmp_path / "nope.json"),
                      "--data", str(tmp_path / "nope.csv")])
@@ -214,6 +277,24 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert code == 3
         assert "FAILED" in out
+
+    @pytest.mark.parametrize("manifest, message", [
+        ({"cv": 5}, "manifest 'cv' must be an object"),
+        ({"cv": {"folds": "5"}}, "manifest cv 'folds' must be an integer"),
+        ({"contamination_levels": ["x"]}, "contamination level 'x' is not a number"),
+        ({"datasets": [5]}, "every dataset entry needs a 'name' string"),
+        ({"methods": [5]}, "manifest methods must be strings"),
+        ({"outlier_magnitude": "big"}, "'outlier_magnitude' must be a number"),
+    ])
+    def test_bench_malformed_manifest(self, tmp_path, capsys, manifest, message):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        code = main(["bench", "--manifest", str(path),
+                     "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert message in err
 
     def test_bench_missing_manifest(self, tmp_path, capsys):
         code = main(["bench", "--manifest", str(tmp_path / "nope.json")])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from relf import (
@@ -26,6 +28,8 @@ from relf.exceptions import (
     ParseError,
     RaggedRowsError,
 )
+
+from oracles import csv_rows_oracle
 
 
 class TestDataset:
@@ -119,6 +123,115 @@ class TestLoadCsv:
         path.write_text("1,2\n")
         with pytest.raises(DataError):
             load_csv(path, 5, has_header=False)
+
+
+def _finite_floats():
+    return st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def _csv_files(draw):
+    """``(text, has_header, label_column, width)`` for a CSV file the loader
+    accepts: random floats in repr, %.6f or %g form, space-padded or quoted
+    cells, LF or CRLF, blank and whitespace-only lines anywhere."""
+    width = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    fmt = draw(st.sampled_from([repr, "{:.6f}".format, "{:g}".format]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+
+    def cell(value):
+        text = fmt(value)
+        text = draw(st.sampled_from(["", " ", "  "])) + text + draw(st.sampled_from(["", " "]))
+        return f'"{text}"' if draw(st.booleans()) else text
+
+    def blank_lines():
+        return draw(st.lists(st.sampled_from(["", " ", "\t ", " , "]), max_size=2))
+
+    has_header = draw(st.booleans())
+    lines = blank_lines()
+    if has_header:
+        lines.append(",".join(f"c{j}" for j in range(width)))
+    for _ in range(n):
+        lines += blank_lines()
+        lines.append(",".join(cell(draw(_finite_floats())) for _ in range(width)))
+    lines += blank_lines()
+    label_idx = draw(st.integers(0, width - 1))
+    label = f"c{label_idx}" if has_header and draw(st.booleans()) else label_idx
+    return newline.join(lines) + newline, has_header, label, label_idx
+
+
+class TestLoadCsvOracle:
+    """``load_csv`` against ``csv.reader`` + one ``float()`` per cell."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_csv_files())
+    def test_matches_oracle_bit_for_bit(self, tmp_path, case):
+        text, has_header, label, label_idx = case
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode())
+        ds = load_csv(path, label, has_header=has_header)
+        header, rows = csv_rows_oracle(path, has_header)
+        assert ds.X.tobytes() == np.delete(rows, label_idx, axis=1).tobytes()
+        assert ds.y.tobytes() == rows[:, label_idx].tobytes()
+        assert ds.X.shape == (rows.shape[0], rows.shape[1] - 1)
+        names = None if header is None else tuple(header[:label_idx] + header[label_idx + 1:])
+        assert ds.feature_names == names
+
+    def test_single_row_and_label_only(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("a,y\n1.5,-2\n")
+        ds = load_csv(path, "y")
+        assert ds.X.shape == (1, 1) and ds.y.tolist() == [-2.0]
+        path.write_text("y\n1\n2\n")
+        ds = load_csv(path, "y")
+        assert ds.X.shape == (2, 0) and ds.feature_names == ()
+        assert ds.y.tolist() == [1.0, 2.0]
+
+    def test_plain_files_skip_the_cell_parse(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cell-by-cell parse ran")
+        monkeypatch.setattr("relf.data._parse_checked", refuse)
+        path = tmp_path / "f.csv"
+        path.write_bytes(b'\r\n\nx,"y"\r\n 1.5 ,"2"\r\n\r\n-3e2,4\r\n')
+        ds = load_csv(path, "y")
+        assert ds.X.tolist() == [[1.5], [-300.0]] and ds.y.tolist() == [2.0, 4.0]
+
+    def test_files_only_the_cell_parse_accepts(self, tmp_path):
+        # a whitespace-only row, a row of empty cells, and float()'s digit
+        # separators are refused by numpy and accepted as before
+        path = tmp_path / "f.csv"
+        path.write_text("x,y\n1,2\n   \n , \n1_0,4\n")
+        ds = load_csv(path, "y")
+        assert ds.X.tolist() == [[1.0], [10.0]] and ds.y.tolist() == [2.0, 4.0]
+
+    @pytest.mark.parametrize("cell", ["2#3", "", "0x10", "1d5", "1\x1c", '"1"x', ' "1"'])
+    def test_bad_cell_is_parse_error(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,y\n1,2\n\n3,{cell}\n5,6\n")
+        with pytest.raises(ParseError) as err:  # rows count non-blank rows
+            load_csv(path, "y")
+        assert (err.value.row, err.value.col) == (3, 2)
+
+    def test_ragged_rows(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("x,y\n1,2\n3\n")
+        with pytest.raises(RaggedRowsError, match="line 3 has 1 cells, expected 2"):
+            load_csv(path, "y")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_is_data_error(self, tmp_path, cell):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"x,y\n1,{cell}\n")
+        with pytest.raises(DataError, match="NaN/Inf") as err:
+            load_csv(path, "y")
+        assert not isinstance(err.value, ParseError)
+
+    def test_header_wider_than_rows(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("x,y,z\n1,2\n3,4\n")
+        with pytest.raises(RaggedRowsError, match="header line has 3 cells"):
+            load_csv(path, "y")
 
 
 class TestLibsvm:

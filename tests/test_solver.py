@@ -34,7 +34,7 @@ from relf.exceptions import (
 )
 from relf.losses import KINDS
 
-from oracles import irls_oracle, ols_oracle, weighted_ls_oracle
+from oracles import irls_oracle, ols_oracle, two_matvec_fit, weighted_ls_oracle
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -114,18 +114,18 @@ class TestUpdateW:
 class TestObjective:
     def test_perfect_fit(self):
         ds = Dataset(X=[[1.0], [2.0]], y=[3.0, 6.0])
-        assert objective(EnsembleSpec((LossSpec("l1l2"),)), [3.0], ds) == 0.0
+        assert objective(EnsembleSpec((LossSpec("l1l2"),)), residuals([3.0], ds)) == 0.0
 
     def test_single_sample_closed_form(self):
         ds = Dataset(X=[[1.0]], y=[math.sqrt(3.0)])
-        assert_allclose(objective(EnsembleSpec((LossSpec("l1l2"),)), [0.0], ds),
+        assert_allclose(objective(EnsembleSpec((LossSpec("l1l2"),)), residuals([0.0], ds)),
                         1.0, rtol=1e-12)
 
     def test_sum_over_losses(self):
         ds = Dataset(X=[[1.0], [1.0]], y=[0.0, math.sqrt(3.0)])
         ens = EnsembleSpec((LossSpec("l1l2"), LossSpec("logcosh")))
         expected = 1.0 + math.log(math.cosh(math.sqrt(3.0)))
-        assert_allclose(objective(ens, [0.0], ds), expected, rtol=1e-12)
+        assert_allclose(objective(ens, residuals([0.0], ds)), expected, rtol=1e-12)
 
 
 class TestFit:
@@ -222,6 +222,19 @@ class TestFit:
             fit(ds, ens, SolverConfig(init="warmstart"))
         with pytest.raises(RelfError):
             fit(ds, ens, SolverConfig(rel_tol=float("nan")))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_residual_per_iteration_is_bit_identical(self, seed):
+        # fit reuses the risk's residual for the next P-step; the numbers
+        # must not move by a single bit against the two-matvec loop
+        ds = _random_ds(80, 5, seed, outliers=True)
+        ens = parse_ensemble("welsch,l1l2,huber")
+        for config in (SolverConfig(), SolverConfig(rel_tol=0.0, max_iters=12),
+                       SolverConfig(init="gaussian", init_seed=seed)):
+            model = fit(ds, ens, config)
+            w, risks = two_matvec_fit(ds, ens, config)
+            assert np.array_equal(model.trace.risks, risks)
+            assert np.array_equal(model.w, w)
 
 
 class TestPredict:
