@@ -232,6 +232,8 @@ def cmd_bench(args) -> int:
             manifest = json.load(fh)
     except OSError as exc:
         raise DataIOError(f"cannot read manifest {args.manifest}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataIOError.undecodable(args.manifest, exc) from None
     except json.JSONDecodeError as exc:
         raise RelfError(f"manifest is not valid JSON: {exc}") from exc
 

@@ -128,8 +128,8 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
     whose cells are all blank are skipped and cells may be double-quoted.  All
     cells must parse as floats; rows of uneven width, or a header wider
     than the rows, raise :class:`RaggedRowsError`; unparseable cells raise
-    :class:`ParseError` with 1-based coordinates, where rows count
-    non-blank rows.
+    :class:`ParseError` with 1-based coordinates, where the row is the
+    file line on which the record starts.
 
     The data rows are parsed in one call to numpy's C parser.  Only a file
     it refuses is parsed again cell by cell, which either accepts it too or
@@ -141,11 +141,14 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
     except OSError as exc:
         raise DataIOError(f"cannot read {path}: {exc}") from exc
 
-    parsed = None
-    if not any(byte in raw for byte in _NUMPY_ONLY_SPACE):
-        parsed = _parse_bulk(_text(raw), has_header)
-    if parsed is None:
-        parsed = _parse_checked(_text(raw), path, label_column, has_header)
+    try:
+        parsed = None
+        if not any(byte in raw for byte in _NUMPY_ONLY_SPACE):
+            parsed = _parse_bulk(_text(raw), has_header)
+        if parsed is None:
+            parsed = _parse_checked(_text(raw), path, label_column, has_header)
+    except UnicodeDecodeError as exc:
+        raise DataIOError.undecodable(path, exc) from None
     header, rows = parsed
     return _split_label(rows, header, label_column)
 
@@ -187,26 +190,32 @@ def _parse_bulk(stream, has_header: bool):
 def _parse_checked(stream, path, label_column, has_header: bool):
     """``(header, rows)`` parsed cell by cell with ``float()``.
 
-    Raises the loader's file errors; row numbers count non-blank rows.
+    Raises the loader's file errors; each record is numbered by the file
+    line it starts on.
     """
-    lines = [row for row in csv.reader(stream) if _has_content(row)]
+    reader = csv.reader(stream)
+    lines = []  # (file line, cells) of every non-blank record
+    start = 1
+    for row in reader:
+        if _has_content(row):
+            lines.append((start, row))
+        start = reader.line_num + 1
     if not lines:
         raise EmptyFileError(f"{path} holds no rows")
 
     header = None
     first_data = 0
     if has_header:
-        header = [cell.strip() for cell in lines[0]]
+        header = [cell.strip() for cell in lines[0][1]]
         first_data = 1
     if len(lines) <= first_data:
         raise EmptyFileError(f"{path} holds no data rows")
 
-    width = len(lines[first_data])
+    width = len(lines[first_data][1])
     _label_index(label_column, header, width)  # label errors come first
 
     rows = np.empty((len(lines) - first_data, width))
-    for i, row in enumerate(lines[first_data:]):
-        file_line = i + first_data + 1
+    for i, (file_line, row) in enumerate(lines[first_data:]):
         if len(row) != width:
             raise RaggedRowsError(
                 f"line {file_line} has {len(row)} cells, expected {width}")
@@ -258,6 +267,8 @@ def load_libsvm(path) -> Dataset:
             raw = fh.readlines()
     except OSError as exc:
         raise DataIOError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataIOError.undecodable(path, exc) from None
 
     labels: list[float] = []
     rows: list[dict[int, float]] = []

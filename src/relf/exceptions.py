@@ -52,6 +52,12 @@ class DataError(RelfError, ValueError):
 class DataIOError(RelfError, OSError):
     """File could not be read or written."""
 
+    @classmethod
+    def undecodable(cls, path, exc: UnicodeDecodeError) -> "DataIOError":
+        """The error for a file whose bytes are not ``exc.encoding`` text."""
+        return cls(f"cannot read {path}: not {exc.encoding} text "
+                   f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})")
+
 
 class ParseError(DataError):
     """A cell or token could not be parsed.

@@ -164,7 +164,8 @@ def phi(spec: LossSpec, e):
     Returns
     -------
     float or ndarray
-        Same shape as ``e``; non-negative, zero at zero.
+        Same shape as ``e``; non-negative, zero at zero.  A residual whose
+        square overflows may give ``inf``.
     """
     arr = np.asarray(e, dtype=float)
     kind, s = spec.kind, float(spec.scale)
@@ -177,7 +178,10 @@ def phi(spec: LossSpec, e):
         out = np.where(a < 2.0 * s, arr * arr / (4.0 * s), a - s)
     elif kind == FAIR:
         r = np.abs(arr) / s
-        out = (s * s) * (r - np.log1p(r))
+        # where |e|/s overflows, r - log1p(r) would be inf - inf
+        gap = np.subtract(r, np.log1p(r), out=np.full_like(r, np.inf),
+                          where=~np.isinf(r))
+        out = (s * s) * gap
     elif kind == LOGCOSH:
         # log(cosh(e)) = logaddexp(e, -e) - log 2, stable for large |e|
         out = np.logaddexp(arr, -arr) - np.log(2.0)
@@ -191,7 +195,8 @@ def delta(spec: LossSpec, e):
 
     Continuous at 0: ``delta(0)`` is ``2/s^2`` (welsch), ``1`` (l1l2,
     fair, logcosh) or ``1/(2 s)`` (huber).  Always positive and finite,
-    though the welsch weight underflows to 0.0 for ``|e| >> s``.
+    though the welsch weight underflows to 0.0 for ``|e| >> s``, and every
+    weight reaches 0.0 where ``e^2`` overflows.
     """
     arr = np.asarray(e, dtype=float)
     kind, s = spec.kind, float(spec.scale)

@@ -37,6 +37,7 @@ import numpy as np
 from . import linalg
 from .data import Dataset
 from .exceptions import (
+    DataIOError,
     DegenerateTraceWarning,
     DimensionMismatchError,
     NonFiniteObjectiveError,
@@ -116,23 +117,50 @@ def update_p(ensemble: EnsembleSpec, e) -> np.ndarray:
     return np.column_stack([delta(spec, e) for spec in ensemble.losses])
 
 
+#: Elements in one weighted row block of the w-step (128 KiB of float64).
+GRAM_BLOCK_ELEMS = 2**14
+
+
+def gram_block_rows(d: int) -> int:
+    """Rows of X weighted at a time by :func:`update_w` for ``d`` columns.
+
+    A block holds about :data:`GRAM_BLOCK_ELEMS` elements, but never fewer
+    than ``d`` rows: each block's product then does at least as much work
+    as adding its d x d result into the Gram, which a narrower block of a
+    wide design would not.
+    """
+    return max(GRAM_BLOCK_ELEMS // max(d, 1), d)
+
+
 def update_w(ds: Dataset, P: np.ndarray, alpha: float) -> np.ndarray:
-    """w-step: jittered weighted normal equations with ``s_i = sum_k p_ik``."""
+    """w-step: jittered weighted normal equations with ``s_i = sum_k p_ik``.
+
+    ``A = X^T S X`` and ``b = X^T S y`` are summed over row blocks of
+    :func:`gram_block_rows` rows, each weighted into one reused buffer, so
+    no weighted n x d copy of X is made.
+    """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != ds.n:
         raise DimensionMismatchError(
             f"P has shape {P.shape}, expected ({ds.n}, m)")
     s = P.sum(axis=1)
-    Xs = ds.X * s[:, None]
-    A = ds.X.T @ Xs
+    X, y = ds.X, ds.y
+    rows = gram_block_rows(ds.d)
+    A = np.zeros((ds.d, ds.d))
+    b = np.zeros(ds.d)
+    buf = np.empty((min(rows, ds.n), ds.d))
+    for start in range(0, ds.n, rows):
+        Xc = X[start:start + rows]
+        Xs = np.multiply(Xc, s[start:start + rows, None], out=buf[:len(Xc)])
+        A += Xc.T @ Xs
+        b += Xs.T @ y[start:start + rows]
     A = 0.5 * (A + A.T)  # BLAS rounding can leave ~1 ulp asymmetry
-    b = Xs.T @ ds.y
     return linalg.solve_spd_with_jitter(A, b, alpha)
 
 
 def objective(ensemble: EnsembleSpec, e) -> float:
     """Pooled (unweighted) empirical risk ``sum_i sum_k phi_k(e_i)`` of the
-    residuals ``e`` (see :func:`residuals`)."""
+    residuals ``e`` (see :func:`residuals`); ``inf`` once the sum overflows."""
     e = np.asarray(e, dtype=float)
     return float(sum(np.sum(phi(spec, e)) for spec in ensemble.losses))
 
@@ -168,22 +196,26 @@ def fit(ds: Dataset, ensemble: EnsembleSpec, config: SolverConfig | None = None)
     steps: list[float] = []
     converged = False
     P = None
-    e = residuals(w, ds)
-    for _ in range(config.max_iters):
-        P = update_p(ensemble, e)
-        w_next = update_w(ds, P, config.alpha)
-        e = residuals(w_next, ds)
-        risk = objective(ensemble, e)
-        if not np.isfinite(risk) or not np.all(np.isfinite(w_next)):
-            raise NonFiniteObjectiveError(
-                f"objective became non-finite at iteration {len(risks) + 1}")
-        steps.append(float(np.max(np.abs(w_next - w))) if ds.d else 0.0)
-        if risks and abs(risks[-1] - risk) <= config.rel_tol * max(1.0, risks[-1]):
-            converged = True
-        risks.append(risk)
-        w = w_next
-        if converged:
-            break
+    # a residual whose square overflows has the overflow's limit as its
+    # answer (phi = inf, delta = 0), and a risk of inf is rejected below,
+    # so numpy need not warn about it
+    with np.errstate(over="ignore"):
+        e = residuals(w, ds)
+        for _ in range(config.max_iters):
+            P = update_p(ensemble, e)
+            w_next = update_w(ds, P, config.alpha)
+            e = residuals(w_next, ds)
+            risk = objective(ensemble, e)
+            if not np.isfinite(risk) or not np.all(np.isfinite(w_next)):
+                raise NonFiniteObjectiveError(
+                    f"objective became non-finite at iteration {len(risks) + 1}")
+            steps.append(float(np.max(np.abs(w_next - w))) if ds.d else 0.0)
+            if risks and abs(risks[-1] - risk) <= config.rel_tol * max(1.0, risks[-1]):
+                converged = True
+            risks.append(risk)
+            w = w_next
+            if converged:
+                break
 
     total = float(P.sum())
     if not np.isfinite(total) or total <= 0.0:
@@ -370,4 +402,8 @@ def save_model(model: RelfModel, path, preprocessing: dict | None = None) -> Non
 
 def load_model(path) -> tuple[RelfModel, dict]:
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            payload = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise DataIOError.undecodable(path, exc) from None
+    return model_from_dict(payload)

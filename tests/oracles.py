@@ -3,9 +3,10 @@
 Deliberately written in plain Python loops with their own formulas so they
 share no code path with the library: Gaussian elimination instead of
 Cholesky, per-kind weight formulas instead of the catalog's delta, and
-finite differences instead of analytic derivatives.  The one exception is
+finite differences instead of analytic derivatives.  The exceptions are
 :func:`two_matvec_fit`, which pins the solver loop bit for bit and so must
-run the library's own P- and w-steps.
+run the library's own P- and w-steps, and :func:`full_gram_update_w`, which
+pins the w-step bit for bit and so shares the library's jittered solve.
 """
 
 import csv
@@ -136,3 +137,17 @@ def two_matvec_fit(ds, ensemble, config):
         if done:
             break
     return w, np.asarray(risks)
+
+
+def full_gram_update_w(ds, P, alpha):
+    """The w-step with the whole weighted Gram in one product,
+    ``A = X^T (X * s)``, through a full n x d weighted copy of X; only the
+    jittered solve is the library's."""
+    from relf.linalg import solve_spd_with_jitter
+
+    s = np.asarray(P, dtype=float).sum(axis=1)
+    Xs = ds.X * s[:, None]
+    A = ds.X.T @ Xs
+    A = 0.5 * (A + A.T)
+    b = Xs.T @ ds.y
+    return solve_spd_with_jitter(A, b, alpha)

@@ -309,6 +309,27 @@ class TestBenchCommand:
         assert "JSON" in err
 
 
+class TestUndecodableInput:
+    """A byte that is not UTF-8 text ends in one ``error:`` line, exit 1."""
+
+    @pytest.mark.parametrize("argv, content", [
+        pytest.param(["fit", "--label-column", "y", "--data"], b"x,y\n1,2\n3,\xff\n", id="csv"),
+        pytest.param(["fit", "--label-column", "y", "--data"], b"x,\xff\n1,2\n", id="csv-header"),
+        pytest.param(["fit", "--format", "libsvm", "--data"], b"1 1:2\n2 1:\xff\n", id="libsvm"),
+        pytest.param(["predict", "--data", "unread.csv", "--model"], b'{"schema": "\xff"}\n',
+                     id="model"),
+        pytest.param(["bench", "--manifest"], b'{"datasets": ["\xff"]}\n', id="manifest"),
+    ])
+    def test_byte_0xff(self, tmp_path, capsys, argv, content):
+        bad = tmp_path / "bad"
+        bad.write_bytes(content)
+        code = main(argv + [str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: cannot read") and "0xff" in err
+        assert err.count("\n") == 1
+
+
 class TestTopLevel:
     def test_help(self, capsys):
         assert main(["--help"]) == 0

@@ -100,6 +100,18 @@ class TestLoadCsv:
         assert err.value.row == 3
         assert err.value.col == 2
 
+    def test_rows_are_file_lines(self, tmp_path):
+        # a record is numbered by the line it starts on; blank lines and a
+        # quoted line break count as lines
+        path = tmp_path / "bad.csv"
+        path.write_text('\nx,y\n1,"2\n"\n\n3,a\n')
+        with pytest.raises(ParseError) as err:
+            load_csv(path, "y")
+        assert (err.value.row, err.value.col) == (6, 2)
+        path.write_text('\nx,y\n1,"2\n"\n\n3\n')
+        with pytest.raises(RaggedRowsError, match="line 6 has 1 cells"):
+            load_csv(path, "y")
+
     def test_ragged_rows(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("x,y\n1,2\n1,2,3\n")
@@ -209,9 +221,9 @@ class TestLoadCsvOracle:
     def test_bad_cell_is_parse_error(self, tmp_path, cell):
         path = tmp_path / "bad.csv"
         path.write_text(f"x,y\n1,2\n\n3,{cell}\n5,6\n")
-        with pytest.raises(ParseError) as err:  # rows count non-blank rows
+        with pytest.raises(ParseError) as err:  # the blank line 3 counts
             load_csv(path, "y")
-        assert (err.value.row, err.value.col) == (3, 2)
+        assert (err.value.row, err.value.col) == (4, 2)
 
     def test_ragged_rows(self, tmp_path):
         path = tmp_path / "r.csv"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,23 @@ class TestDelta:
             peak = delta(spec, 0.0)
             for e in (6 * sigma, 8 * sigma, 20 * sigma):
                 assert delta(spec, e) <= 1e-6 * peak
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
+    def test_overflowing_residual_limits(self, kind, scale):
+        # e^2 (or |e|/s) overflows: phi keeps its limit, delta reaches 0;
+        # fit runs the kernels with overflow ignored, and so does this test
+        spec = LossSpec(kind, scale)
+        e = np.array([1.7e308, -1.7e308])
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            value, weight = phi(spec, e), delta(spec, e)
+        assert np.all(value == 1.0) if kind == "welsch" else np.all(value >= 1e300)
+        assert np.all((weight >= 0.0) & (weight < 1e-300))
+        # NaN is not an overflow: it still propagates (logcosh's logaddexp
+        # flags it as an invalid value)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(phi(spec, np.nan)) and np.isnan(delta(spec, np.nan))
 
     def test_boundedness_split(self):
         assert phi(LossSpec("welsch", 1.0), 1e6) <= 1.0

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,9 +34,16 @@ from relf.exceptions import (
     NonFiniteObjectiveError,
     RelfError,
 )
+from relf import solver
 from relf.losses import KINDS
 
-from oracles import irls_oracle, ols_oracle, two_matvec_fit, weighted_ls_oracle
+from oracles import (
+    full_gram_update_w,
+    irls_oracle,
+    ols_oracle,
+    two_matvec_fit,
+    weighted_ls_oracle,
+)
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -109,6 +118,78 @@ class TestUpdateW:
         ds = Dataset(X=[[1.0]], y=[1.0])
         with pytest.raises(DimensionMismatchError):
             update_w(ds, np.ones((3, 1)), 1e-8)
+
+
+def _rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestBlockedUpdateW:
+    """``update_w`` sums the Gram over row blocks; the one-product oracle
+    is the reference."""
+
+    @staticmethod
+    def _problem(n, d, seed):
+        ds = _random_ds(n, d, seed)
+        P = np.random.default_rng(seed + 100).random((n, 3)) + 0.05
+        return ds, P
+
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_matches_full_gram(self, d, blocks, extra):
+        rows = solver.gram_block_rows(d)
+        n = blocks * rows + extra
+        ds, P = self._problem(n, d, seed=d)
+        w = update_w(ds, P, 1e-8)
+        ref = full_gram_update_w(ds, P, 1e-8)
+        assert _rel_err(w, ref) <= 1e-12
+        if n <= rows:  # one block: the same products as the oracle, bit for bit
+            assert np.array_equal(w, ref)
+
+    def test_wide_design_blocks_of_d_rows(self):
+        d = 200
+        assert solver.gram_block_rows(d) == d
+        ds, P = self._problem(3 * d + 7, d, seed=5)
+        assert _rel_err(update_w(ds, P, 1e-8), full_gram_update_w(ds, P, 1e-8)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [10, 41])
+    def test_one_row_blocks(self, monkeypatch, n):
+        # blocks never have fewer than 128 rows at the real block size, so
+        # shrink it
+        monkeypatch.setattr(solver, "GRAM_BLOCK_ELEMS", 1)
+        assert solver.gram_block_rows(1) == 1
+        ds, P = self._problem(n, 1, seed=n)
+        assert _rel_err(update_w(ds, P, 1e-8), full_gram_update_w(ds, P, 1e-8)) <= 1e-12
+
+    def test_zero_weight_block(self):
+        d = 6
+        rows = solver.gram_block_rows(d)
+        ds, P = self._problem(3 * rows + 7, d, seed=7)
+        P[rows:2 * rows] = 0.0
+        assert _rel_err(update_w(ds, P, 1e-8), full_gram_update_w(ds, P, 1e-8)) <= 1e-12
+
+    def test_no_weighted_copy_of_x(self):
+        n, d = 200_000, 8
+        ds, P = self._problem(n, d, seed=3)
+        update_w(ds, P, 1e-8)  # warm up lazy imports and BLAS buffers
+        tracemalloc.start()
+        try:
+            update_w(ds, P, 1e-8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # s alone is n * 8 bytes; the full-Gram form adds n * d * 8
+        assert peak < n * d * 8 / 4
+
+    def test_fit_trace_matches_full_gram_fit(self, monkeypatch):
+        ds = _random_ds(3 * solver.gram_block_rows(5) + 7, 5, 11, outliers=True)
+        ens = parse_ensemble("welsch,l1l2,huber")
+        config = SolverConfig(rel_tol=0.0, max_iters=10)
+        model = fit(ds, ens, config)
+        monkeypatch.setattr(solver, "update_w", full_gram_update_w)
+        ref = fit(ds, ens, config)
+        assert_allclose(model.trace.risks, ref.trace.risks, rtol=1e-12, atol=0)
+        assert _rel_err(model.w, ref.w) <= 1e-12
 
 
 class TestObjective:
@@ -222,6 +303,26 @@ class TestFit:
             fit(ds, ens, SolverConfig(init="warmstart"))
         with pytest.raises(RelfError):
             fit(ds, ens, SolverConfig(rel_tol=float("nan")))
+
+    @pytest.mark.parametrize("ensemble", ["welsch,l1l2,huber", "l1l2", "huber:0.01",
+                                          "fair:0.01", "fair:100", "logcosh"])
+    @pytest.mark.parametrize("labels", [[1e308, -1e308, 1.0, 2.0, 3e307],
+                                        [-1.7e308] * 3 + [1.7e308] * 2])
+    def test_extreme_labels_raise_only_the_typed_error(self, ensemble, labels):
+        ds = Dataset(X=np.column_stack([np.arange(5.0), np.ones(5)]), y=labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteObjectiveError):
+                fit(ds, parse_ensemble(ensemble))
+
+    def test_extreme_labels_get_weight_zero(self):
+        # e^2 overflows, so welsch gives those samples weight 0 and fits
+        # the rest, with no warning on the way
+        ds = Dataset(X=np.ones((5, 1)), y=[1e308, -1e308, 1.0, 2.0, 3e307])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit(ds, parse_ensemble("welsch"))
+        assert np.all(np.isfinite(model.w)) and abs(model.w[0]) < 3.0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_one_residual_per_iteration_is_bit_identical(self, seed):
