@@ -15,6 +15,7 @@ from relf import (
     NoiseConfig,
     RelfMethod,
     cross_validate,
+    cv_folds,
     increase_ratio,
     parse_ensemble,
     synth_line,
@@ -22,7 +23,8 @@ from relf import (
 from relf.data import NOISE_GAUSSIAN, NOISE_OUTLIER
 
 ds = synth_line(NoiseConfig(mode=NOISE_GAUSSIAN, gaussian_std=1.0, seed=0))
-cv = CvConfig(folds=10, seed=0)
+# the ten folds, stacked once and shared by every method and level
+folds = cv_folds(ds, CvConfig(folds=10, seed=0), scale_features=False, intercept=False)
 methods = [
     RelfMethod(ensemble=parse_ensemble("welsch,l1l2,huber"), label="relf"),
     LeastSquaresMethod(label="ols"),
@@ -33,10 +35,8 @@ for level in (0.1, 0.3):
     contamination = NoiseConfig(mode=NOISE_OUTLIER, outlier_fraction=level,
                                 outlier_magnitude=5.0, seed=0)
     for method in methods:
-        clean = cross_validate(ds, method, cv,
-                               scale_features=False, intercept=False)
-        dirty = cross_validate(ds, method, cv, contamination=contamination,
-                               scale_features=False, intercept=False)
+        clean = cross_validate(folds, method)
+        dirty = cross_validate(folds, method, contamination=contamination)
         ratio = increase_ratio(dirty.mean_mae, clean.mean_mae)
         print(f"{method.label:<6} {clean.mean_mae:10.4f} "
               f"{dirty.mean_mae:10.4f} {ratio:9.4f}   "

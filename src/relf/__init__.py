@@ -44,15 +44,10 @@ from .losses import (
     validate_ensemble,
     validate_loss,
 )
-from .linalg import (
-    accumulate_weighted_outer,
-    axpy,
-    dot,
-    scale,
-    solve_spd_with_jitter,
-)
+from .linalg import solve_spd_with_jitter
 from .data import (
     Dataset,
+    FoldStack,
     NoiseConfig,
     ScalerState,
     add_intercept,
@@ -70,6 +65,7 @@ from .solver import (
     SolverTrace,
     decrease_ratio,
     fit,
+    fit_folds,
     load_model,
     objective,
     predict,
@@ -80,11 +76,13 @@ from .solver import (
 )
 from .evaluation import (
     CvConfig,
+    CvFolds,
     CvResult,
     EvalReport,
     LeastSquaresMethod,
     RelfMethod,
     cross_validate,
+    cv_folds,
     increase_ratio,
     kfold_split,
     mae,

@@ -81,6 +81,40 @@ class Dataset:
 
 
 @dataclass(frozen=True)
+class FoldStack:
+    """The designs of ``k`` folds stacked on a leading axis: ``X`` is
+    (k, rows, d) and ``y`` is (k, rows).
+
+    Fold ``j`` holds ``counts[j]`` rows; a shorter fold is padded up to
+    ``rows`` with all-zero rows and zero labels.  A zero row has residual 0,
+    ``phi(0) = 0``, and adds exactly 0 to a Gram, so the solver needs no
+    mask.  A single :class:`Dataset` is the one-fold stack
+    :meth:`of`, which shares its arrays.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, ds: Dataset) -> "FoldStack":
+        return cls(ds.X[None], ds.y[None], np.array([ds.n]))
+
+    @property
+    def k(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def n(self) -> int:
+        """Rows over all folds, padding included."""
+        return self.X.shape[0] * self.X.shape[1]
+
+    @property
+    def d(self) -> int:
+        return self.X.shape[2]
+
+
+@dataclass(frozen=True)
 class NoiseConfig:
     """Label-noise recipe for the synthetic line and outlier injection.
 
@@ -112,12 +146,10 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class ScalerState:
-    """Per-column min/max fitted on training data; labels optional."""
+    """Per-column min/max fitted on training data."""
 
     feature_min: np.ndarray
     feature_max: np.ndarray
-    label_min: float | None = None
-    label_max: float | None = None
 
 
 def load_csv(path, label_column, has_header: bool = True) -> Dataset:
@@ -327,24 +359,26 @@ def save_libsvm(ds: Dataset, path) -> None:
         raise DataIOError(f"cannot write {path}: {exc}") from exc
 
 
-def fit_scaler(ds: Dataset, scale_labels: bool = False) -> ScalerState:
-    """Record per-column min/max of ``ds`` (and of labels if asked)."""
-    return ScalerState(
-        feature_min=ds.X.min(axis=0),
-        feature_max=ds.X.max(axis=0),
-        label_min=float(ds.y.min()) if scale_labels else None,
-        label_max=float(ds.y.max()) if scale_labels else None,
-    )
+def fit_scaler(ds: Dataset) -> ScalerState:
+    """Record per-column min/max of ``ds``."""
+    return ScalerState(feature_min=ds.X.min(axis=0), feature_max=ds.X.max(axis=0))
 
 
-def _minmax_map(values, lo, hi):
+def minmax_map(values, lo, hi):
+    """Map ``values`` onto [-1, 1] by ``lo``/``hi`` (broadcast against
+    them); where ``hi == lo`` the result is 0."""
     span = hi - lo
-    safe = np.where(span > 0, span, 1.0)
-    return np.where(span > 0, -1.0 + 2.0 * (values - lo) / safe, 0.0)
+    # -1 + 2 (values - lo) / span, in place on one array of the result's size
+    out = values - lo
+    out *= 2.0
+    out /= np.where(span > 0, span, 1.0)
+    out += -1.0
+    np.copyto(out, 0.0, where=~(span > 0))
+    return out
 
 
 def apply_scaler(ds: Dataset, state: ScalerState) -> Dataset:
-    """Map features (and optionally labels) onto [-1, 1] per ``state``.
+    """Map features onto [-1, 1] per ``state``; labels are untouched.
 
     Training extrema map to exactly -1/+1; constant columns map to 0;
     unseen values extrapolate linearly outside [-1, 1].
@@ -354,11 +388,8 @@ def apply_scaler(ds: Dataset, state: ScalerState) -> Dataset:
     if lo.shape != (ds.d,) or hi.shape != (ds.d,):
         raise DimensionMismatchError(
             f"scaler fitted for {lo.shape[0]} columns, dataset has {ds.d}")
-    X = _minmax_map(ds.X, lo[None, :], hi[None, :])
-    y = ds.y
-    if state.label_min is not None:
-        y = _minmax_map(ds.y, state.label_min, state.label_max)
-    return Dataset(X=X, y=y, feature_names=ds.feature_names,
+    X = minmax_map(ds.X, lo[None, :], hi[None, :])
+    return Dataset(X=X, y=ds.y, feature_names=ds.feature_names,
                    has_intercept=ds.has_intercept)
 
 
@@ -394,29 +425,23 @@ def inject_outliers(ds: Dataset, noise: NoiseConfig) -> Dataset:
     with sign uniform on {-1, +1}; features are untouched.  Pure function of
     ``(ds, noise)`` -- the RNG is seeded from ``noise.seed``.
     """
+    return Dataset(X=ds.X.copy(), y=displace_labels(ds.y, noise),
+                   feature_names=ds.feature_names, has_intercept=ds.has_intercept)
+
+
+def displace_labels(y: np.ndarray, noise: NoiseConfig) -> np.ndarray:
+    """The labels ``y`` after :func:`inject_outliers`, as a new array."""
     if noise.mode != NOISE_OUTLIER:
         raise DataError(f"inject_outliers needs mode={NOISE_OUTLIER!r}, got {noise.mode!r}")
-    k = int(round(noise.outlier_fraction * ds.n))
-    y = ds.y.copy()
+    k = int(round(noise.outlier_fraction * y.shape[0]))
+    y = y.copy()
     if k > 0:
         rng = np.random.default_rng(noise.seed)
-        idx = rng.choice(ds.n, size=k, replace=False)
+        idx = rng.choice(y.shape[0], size=k, replace=False)
         signs = rng.choice(np.array([-1.0, 1.0]), size=k)
-        spread = float(ds.y.max() - ds.y.min())
+        spread = float(y.max() - y.min())
         y[idx] = y[idx] + signs * noise.outlier_magnitude * spread
-    return Dataset(X=ds.X.copy(), y=y, feature_names=ds.feature_names,
-                   has_intercept=ds.has_intercept)
-
-
-def describe_noise(noise: NoiseConfig) -> dict:
-    """JSON-friendly echo of a noise config (used by the CLI and reports)."""
-    return {
-        "mode": noise.mode,
-        "gaussian_std": noise.gaussian_std,
-        "outlier_fraction": noise.outlier_fraction,
-        "outlier_magnitude": noise.outlier_magnitude,
-        "seed": noise.seed,
-    }
+    return y
 
 
 def with_seed(noise: NoiseConfig, seed: int) -> NoiseConfig:

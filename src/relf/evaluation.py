@@ -5,42 +5,47 @@ with identical splits for the clean and contaminated runs, outliers
 injected into *training* folds only (test labels stay clean so the metric
 itself is not corrupted), features min-max scaled to [-1, 1] using
 training-fold statistics, and an intercept column appended after scaling.
-Robustness is summarized by the increase ratio ``MAE_contaminated /
-MAE_clean``: the closer to 1, the less the method cares about outliers.
+The folds of a dataset are stacked once (:func:`cv_folds`) and fit
+together in one solver loop.  Robustness is summarized by the increase
+ratio ``MAE_contaminated / MAE_clean``: the closer to 1, the less the
+method cares about outliers.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
     Dataset,
+    FoldStack,
     NoiseConfig,
     NOISE_GAUSSIAN,
     NOISE_OUTLIER,
     add_intercept,
     apply_scaler,
+    displace_labels,
     fit_scaler,
-    inject_outliers,
     load_csv,
     load_libsvm,
+    minmax_map,
     synth_line,
     with_seed,
 )
 from .exceptions import (
     DataError,
     DimensionMismatchError,
+    DoubleInterceptError,
     EmptyInputError,
     RelfError,
     TooManyFoldsError,
     ZeroCleanBaselineError,
 )
 from .losses import DEFAULT_ENSEMBLE_TEXT, EnsembleSpec, parse_ensemble
-from .solver import RelfModel, SolverConfig, decrease_ratio, fit
+from .solver import SolverConfig, decrease_ratio, fit, fit_folds
 from . import linalg
 
 
@@ -111,15 +116,18 @@ def derive_seed(*keys) -> int:
 
 # --- methods ----------------------------------------------------------------
 
-def ols_fit(ds: Dataset, ridge_alpha: float = 0.0) -> np.ndarray:
-    """Least squares via the normal equations, with optional ridge term.
+def ols_fit(ds: Dataset | FoldStack, ridge_alpha: float = 0.0) -> np.ndarray:
+    """Least squares via the normal equations, with optional ridge term:
+    ``w`` (d,) for a :class:`Dataset`, one ``w`` per fold for a
+    :class:`FoldStack`.
 
     ``ridge_alpha`` is passed straight to the jittered SPD solve, so 0
     still gets the 1e-12 stability floor; large values shrink ``w`` to 0.
     """
-    A = ds.X.T @ ds.X
-    A = 0.5 * (A + A.T)
-    b = ds.X.T @ ds.y
+    Xt = np.swapaxes(ds.X, -1, -2)
+    A = Xt @ ds.X
+    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    b = (Xt @ ds.y[..., None])[..., 0]
     return linalg.solve_spd_with_jitter(A, b, ridge_alpha)
 
 
@@ -131,9 +139,9 @@ class RelfMethod:
     config: SolverConfig = field(default_factory=SolverConfig)
     label: str = "relf"
 
-    def fit_weights(self, ds: Dataset) -> tuple[np.ndarray, RelfModel]:
-        model = fit(ds, self.ensemble, self.config)
-        return model.w, model
+    def fold_weights(self, stack: FoldStack) -> np.ndarray:
+        """One ``w`` per fold of ``stack``, (k, d)."""
+        return np.stack([m.w for m in fit_folds(stack, self.ensemble, self.config)])
 
 
 @dataclass(frozen=True)
@@ -143,8 +151,9 @@ class LeastSquaresMethod:
     ridge_alpha: float = 1e-8
     label: str = "ols"
 
-    def fit_weights(self, ds: Dataset) -> tuple[np.ndarray, None]:
-        return ols_fit(ds, self.ridge_alpha), None
+    def fold_weights(self, stack: FoldStack) -> np.ndarray:
+        """One ``w`` per fold of ``stack``, (k, d)."""
+        return ols_fit(stack, self.ridge_alpha)
 
 
 def parse_method(text: str, solver_config: SolverConfig | None = None):
@@ -208,35 +217,93 @@ class CvResult:
         return float(np.std(self.fold_rmse))
 
 
-def cross_validate(ds: Dataset, method, cv: CvConfig | None = None, *,
-                   contamination: NoiseConfig | None = None,
-                   scale_features: bool = True, scale_labels: bool = False,
-                   intercept: bool = True, seed_keys=()) -> CvResult:
+@dataclass(frozen=True)
+class CvFolds:
+    """One dataset's k-fold split as stacked designs, built by :func:`cv_folds`.
+
+    Fold ``j`` of ``train`` and of ``test`` holds the training and the test
+    rows of split ``j``.  Every method and contamination level reuses one
+    ``CvFolds``: contamination changes only the training labels.
+    """
+
+    train: FoldStack
+    test: FoldStack
+
+
+def cv_folds(ds: Dataset, cv: CvConfig | None = None, *,
+             scale_features: bool = True, intercept: bool = True) -> CvFolds:
+    """Stack the folds of ``kfold_split(ds.n, cv)`` for :func:`cross_validate`.
+
+    Each fold's features are min-max scaled on that fold's training rows
+    (if ``scale_features``), then the intercept column is appended (if
+    ``intercept``).  Folds shorter than the longest are padded with
+    all-zero rows (see :class:`FoldStack`).  A stack takes
+    ``k * rows * d * 8`` bytes.
+    """
+    if intercept and ds.has_intercept:
+        raise DoubleInterceptError("dataset already has an intercept column")
+    splits = kfold_split(ds.n, cv or CvConfig())
+    train, train_pad = _gather(ds, [tr for tr, _ in splits])
+    test, test_pad = _gather(ds, [te for _, te in splits])
+    if scale_features:
+        # padding repeats a fold's first row, so it leaves min and max alone
+        lo, hi = train.X.min(axis=1, keepdims=True), train.X.max(axis=1, keepdims=True)
+        train = replace(train, X=minmax_map(train.X, lo, hi))
+        test = replace(test, X=minmax_map(test.X, lo, hi))
+    return CvFolds(_finish_stack(train, train_pad, intercept), _finish_stack(test, test_pad, intercept))
+
+
+def _gather(ds: Dataset, index_sets) -> tuple[FoldStack, np.ndarray]:
+    """The rows of each index set stacked, a short set padded with copies
+    of its first row, and the (k, rows) mask of those copies."""
+    counts = np.array([len(ix) for ix in index_sets])
+    rows = int(counts.max())
+    idx = np.stack([np.concatenate([ix, np.full(rows - len(ix), ix[0])])
+                    for ix in index_sets])
+    pad = np.arange(rows) >= counts[:, None]
+    return FoldStack(ds.X[idx], ds.y[idx], counts), pad
+
+
+def _finish_stack(stack: FoldStack, pad: np.ndarray, intercept: bool) -> FoldStack:
+    """Append the intercept column, then zero the padding rows."""
+    X, y = stack.X, stack.y
+    if intercept:
+        X = np.concatenate([X, np.ones(X.shape[:2] + (1,))], axis=2)
+    if not np.all(np.isfinite(X)):
+        raise DataError("dataset contains NaN/Inf")
+    X[pad], y[pad] = 0.0, 0.0
+    return replace(stack, X=X, y=y)
+
+
+def cross_validate(folds: CvFolds, method, *, contamination: NoiseConfig | None = None,
+                   seed_keys=()) -> CvResult:
     """k-fold evaluation of one method under the contamination protocol.
 
-    If ``contamination`` is given (mode ``"outlier"``), training folds are
+    ``method.fold_weights`` fits all folds of ``folds.train`` at once.  If
+    ``contamination`` is given (mode ``"outlier"``), each training fold is
     contaminated with a per-fold seed derived from ``(contamination.seed,
     *seed_keys, fold_index)``; test folds are never touched, and the fold
     split itself is independent of contamination, so clean/contaminated
     runs compare like for like.
+
+    A contaminated label that is not finite, in any fold, raises
+    :class:`DataError` before any fold is fitted, so it takes precedence
+    over every fold's fit error; :func:`fit_folds` orders those.
     """
-    cv = cv or CvConfig()
-    fold_mae, fold_rmse = [], []
-    for fold_idx, (tr, te) in enumerate(kfold_split(ds.n, cv)):
-        train, test = ds.take(tr), ds.take(te)
-        if contamination is not None and contamination.outlier_fraction > 0:
-            noise = with_seed(contamination,
-                              derive_seed(contamination.seed, *seed_keys, fold_idx))
-            train = inject_outliers(train, noise)
-        if scale_features or scale_labels:
-            state = fit_scaler(train, scale_labels=scale_labels)
-            train, test = apply_scaler(train, state), apply_scaler(test, state)
-        if intercept:
-            train, test = add_intercept(train), add_intercept(test)
-        w, _ = method.fit_weights(train)
-        pred = test.X @ w
-        fold_mae.append(mae(test.y, pred))
-        fold_rmse.append(rmse(test.y, pred))
+    train = folds.train
+    if contamination is not None and contamination.outlier_fraction > 0:
+        y = np.zeros_like(train.y)
+        for j, m in enumerate(train.counts):
+            noise = with_seed(contamination, derive_seed(contamination.seed, *seed_keys, j))
+            y[j, :m] = displace_labels(train.y[j, :m], noise)
+        if not np.all(np.isfinite(y)):
+            raise DataError("dataset contains NaN/Inf")
+        train = replace(train, y=y)
+    w = method.fold_weights(train)
+    test = folds.test
+    pred = (test.X @ w[..., None])[..., 0]
+    fold_mae = [mae(test.y[j, :m], pred[j, :m]) for j, m in enumerate(test.counts)]
+    fold_rmse = [rmse(test.y[j, :m], pred[j, :m]) for j, m in enumerate(test.counts)]
     return CvResult(method=method.label, fold_mae=np.asarray(fold_mae),
                     fold_rmse=np.asarray(fold_rmse))
 
@@ -399,11 +466,13 @@ def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
     cells, ratios, convergence = [], [], []
     for ds_idx, entry in enumerate(manifest.get("datasets", [])):
         name = entry["name"]
-        try:
+        ds = folds = None
+        try:  # keep the rest of the grid alive
             ds = _load_manifest_dataset(entry, base)
+            folds = cv_folds(ds, cv, scale_features=scale_features, intercept=intercept)
             load_error = None
-        except Exception as exc:  # keep the rest of the grid alive
-            ds, load_error = None, f"{type(exc).__name__}: {exc}"
+        except Exception as exc:
+            load_error = f"{type(exc).__name__}: {exc}"
         for method in methods:
             if ds is not None and isinstance(method, RelfMethod):
                 convergence.append(
@@ -419,10 +488,8 @@ def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
                         outlier_magnitude=magnitude, seed=outlier_seed)
                     t0 = time.perf_counter()
                     try:
-                        res = cross_validate(
-                            ds, method, cv, contamination=contamination,
-                            scale_features=scale_features, intercept=intercept,
-                            seed_keys=(ds_idx, lvl_idx))
+                        res = cross_validate(folds, method, contamination=contamination,
+                                             seed_keys=(ds_idx, lvl_idx))
                         cell.update(
                             mae=res.mean_mae, rmse=res.mean_rmse,
                             mae_std=res.std_mae, rmse_std=res.std_rmse,

@@ -1,14 +1,15 @@
-"""Small dense-algebra kernel: weighted Gram accumulation and jittered SPD solves.
+"""Small dense-algebra kernel: jittered SPD solves, one system or a stack.
 
-Vectors are 1-D float64 arrays, symmetric matrices 2-D float64; NaN/Inf are
-rejected at these entry points.  Everything downstream of the solver funnels
-its linear algebra through here.
+Right-hand sides are float64 vectors ``(d,)`` or stacks ``(k, d)``, with
+symmetric matrices ``(d, d)`` or ``(k, d, d)`` to match; NaN/Inf are
+rejected at this entry point.  Everything downstream of the solver funnels
+its linear solves through here.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .exceptions import DimensionMismatchError, FactorizationError
 
@@ -16,83 +17,51 @@ from .exceptions import DimensionMismatchError, FactorizationError
 MIN_JITTER = 1e-12
 
 
-def _vec(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1:
-        raise DimensionMismatchError(f"{name} must be 1-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DimensionMismatchError(f"{name} contains NaN/Inf")
-    return a
-
-
-def dot(a, b) -> float:
-    """Inner product of equal-length vectors."""
-    a, b = _vec(a, "a"), _vec(b, "b")
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"dot: shapes {a.shape} vs {b.shape}")
-    return float(a @ b)
-
-
-def scale(a, s: float) -> np.ndarray:
-    """Return ``s * a`` as a new vector."""
-    return _vec(a, "a") * float(s)
-
-
-def axpy(alpha: float, x, y) -> np.ndarray:
-    """Return ``alpha * x + y`` as a new vector."""
-    x, y = _vec(x, "x"), _vec(y, "y")
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"axpy: shapes {x.shape} vs {y.shape}")
-    return float(alpha) * x + y
-
-
-def accumulate_weighted_outer(acc: np.ndarray, x, s: float) -> np.ndarray:
-    """Add ``s * x x^T`` into ``acc`` in place and return it.
-
-    ``acc`` must be d x d and ``s`` non-negative; the update keeps ``acc``
-    bitwise symmetric (IEEE multiplication commutes, so ``s*x_i*x_j`` and
-    ``s*x_j*x_i`` round identically).  Single-writer: no concurrent use.
-    """
-    x = _vec(x, "x")
-    acc = np.asarray(acc, dtype=float)
-    if acc.ndim != 2 or acc.shape[0] != acc.shape[1]:
-        raise DimensionMismatchError(f"accumulator must be square, got {acc.shape}")
-    if acc.shape[0] != x.shape[0]:
-        raise DimensionMismatchError(
-            f"accumulator {acc.shape} incompatible with vector {x.shape}")
-    s = float(s)
-    if not np.isfinite(s) or s < 0.0:
-        raise ValueError(f"weight must be finite and >= 0, got {s}")
-    acc += s * np.outer(x, x)
-    return acc
-
-
-def solve_spd_with_jitter(A: np.ndarray, b, alpha: float) -> np.ndarray:
+def solve_spd_with_jitter(A, b, alpha: float) -> np.ndarray:
     """Solve ``(A + alpha I) w = b`` by Cholesky for symmetric PSD ``A``.
 
-    ``alpha`` is floored at ``MIN_JITTER`` so the shifted matrix is strictly
-    positive definite whenever ``A`` is PSD.  The returned solution satisfies
+    ``A`` is (d, d) with ``b`` (d,), or a stack (k, d, d) with ``b`` (k, d)
+    whose systems are solved one by one; each is factored by LAPACK
+    ``dpotrf`` and solved by ``dpotrs``, the routines behind scipy's
+    ``cho_factor``/``cho_solve``.  ``alpha`` is floored at ``MIN_JITTER`` so
+    the shifted matrix is strictly positive definite whenever ``A`` is PSD.
+    The returned solution satisfies
     ``||(A + alpha I) w - b||_inf <= 1e-8 * (1 + ||b||_inf)`` on reasonably
     conditioned systems (d up to a few hundred).
 
     Raises
     ------
     FactorizationError
-        If the factorization still fails (``A`` indefinite or badly broken).
+        If a factorization still fails (``A`` indefinite or badly broken).
     """
     A = np.asarray(A, dtype=float)
-    b = _vec(b, "b")
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2):
+        raise DimensionMismatchError(f"b must be 1-D or 2-D, got shape {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise DimensionMismatchError("b contains NaN/Inf")
+    if A.ndim != b.ndim + 1 or A.shape[-1] != A.shape[-2]:
         raise DimensionMismatchError(f"A must be square, got {A.shape}")
-    if A.shape[0] != b.shape[0]:
+    if A.shape[:-1] != b.shape:
         raise DimensionMismatchError(f"A {A.shape} incompatible with b {b.shape}")
     if not np.all(np.isfinite(A)):
         raise DimensionMismatchError("A contains NaN/Inf")
     alpha = max(float(alpha), MIN_JITTER)
-    M = A + alpha * np.eye(A.shape[0])
-    try:
-        cho = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+    M = A + alpha * np.eye(A.shape[-1])
+    if M.ndim == 2:
+        return _cholesky_solve(M, b, alpha)
+    w = np.empty_like(b)
+    for j in range(len(M)):
+        w[j] = _cholesky_solve(M[j], b[j], alpha)
+    return w
+
+
+def _cholesky_solve(M: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
+    if M.size == 0:
+        return np.zeros_like(b)
+    c, info = dpotrf(M, lower=True, clean=False)
+    if info > 0:
         raise FactorizationError(
-            f"Cholesky failed at jitter alpha={alpha:g}: {exc}") from exc
-    return scipy.linalg.cho_solve(cho, b, check_finite=False)
+            f"Cholesky failed at jitter alpha={alpha:g}: "
+            f"{info}-th leading minor of the array is not positive definite")
+    return dpotrs(c, b, lower=True)[0]

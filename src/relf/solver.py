@@ -35,7 +35,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import linalg
-from .data import Dataset
+from .data import Dataset, FoldStack
 from .exceptions import (
     DataIOError,
     DegenerateTraceWarning,
@@ -103,18 +103,21 @@ class RelfModel:
     trace: SolverTrace | None = None
 
 
-def residuals(w, ds: Dataset) -> np.ndarray:
-    """``e = y - X w``."""
+def residuals(w, ds: Dataset | FoldStack) -> np.ndarray:
+    """``e = y - X w``: (n,) for a :class:`Dataset` and ``w`` (d,), or
+    (k, rows) for a :class:`FoldStack` and one ``w`` per fold, (k, d)."""
     w = np.asarray(w, dtype=float)
-    if w.shape != (ds.d,):
+    if w.shape != ds.X.shape[:-2] + (ds.d,):
         raise DimensionMismatchError(f"w has shape {w.shape}, X has {ds.d} columns")
-    return ds.y - ds.X @ w
+    return ds.y - (ds.X @ w[..., None])[..., 0]
 
 
 def update_p(ensemble: EnsembleSpec, e) -> np.ndarray:
-    """P-step: the (n, m) auxiliary weight matrix ``p_ik = delta_k(e_i)``."""
+    """P-step: the auxiliary weights ``p_ik = delta_k(e_i)``, with the
+    loss index ``k`` last: (n, m) for residuals (n,), (k, rows, m) for a
+    stack's (k, rows)."""
     e = np.asarray(e, dtype=float)
-    return np.column_stack([delta(spec, e) for spec in ensemble.losses])
+    return np.stack([delta(spec, e) for spec in ensemble.losses], axis=-1)
 
 
 #: Elements in one weighted row block of the w-step (128 KiB of float64).
@@ -132,55 +135,88 @@ def gram_block_rows(d: int) -> int:
     return max(GRAM_BLOCK_ELEMS // max(d, 1), d)
 
 
-def update_w(ds: Dataset, P: np.ndarray, alpha: float) -> np.ndarray:
+def update_w(ds: Dataset | FoldStack, P: np.ndarray, alpha: float) -> np.ndarray:
     """w-step: jittered weighted normal equations with ``s_i = sum_k p_ik``.
 
-    ``A = X^T S X`` and ``b = X^T S y`` are summed over row blocks of
-    :func:`gram_block_rows` rows, each weighted into one reused buffer, so
-    no weighted n x d copy of X is made.
+    ``ds`` is a :class:`Dataset` with ``P`` (n, m), giving ``w`` (d,), or a
+    :class:`FoldStack` with ``P`` (k, rows, m), giving one ``w`` per fold.
+    Per fold, ``A = X^T S X`` and ``b = X^T S y`` are summed over row blocks
+    of :func:`gram_block_rows` rows, each weighted into one reused buffer,
+    so no weighted copy of X is made.  A fold whose ``A`` or ``b`` is not
+    finite (features near the float range overflow the Gram) gets a NaN
+    ``w``, which :func:`fit` reports as :class:`NonFiniteObjectiveError`.
     """
     P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != ds.n:
+    if P.ndim != ds.y.ndim + 1 or P.shape[:-1] != ds.y.shape:
         raise DimensionMismatchError(
-            f"P has shape {P.shape}, expected ({ds.n}, m)")
-    s = P.sum(axis=1)
+            f"P has shape {P.shape}, expected {ds.y.shape} + (m,)")
+    s = P.sum(axis=-1)
     X, y = ds.X, ds.y
-    rows = gram_block_rows(ds.d)
-    A = np.zeros((ds.d, ds.d))
-    b = np.zeros(ds.d)
-    buf = np.empty((min(rows, ds.n), ds.d))
-    for start in range(0, ds.n, rows):
-        Xc = X[start:start + rows]
-        Xs = np.multiply(Xc, s[start:start + rows, None], out=buf[:len(Xc)])
-        A += Xc.T @ Xs
-        b += Xs.T @ y[start:start + rows]
-    A = 0.5 * (A + A.T)  # BLAS rounding can leave ~1 ulp asymmetry
-    return linalg.solve_spd_with_jitter(A, b, alpha)
+    lone = X.ndim == 2
+    if lone:
+        X, y, s = X[None], y[None], s[None]
+    k, n, d = X.shape
+    rows = gram_block_rows(d)
+    A = np.zeros((k, d, d))
+    b = np.zeros((k, d, 1))
+    buf = np.empty((k, min(rows, n), d))
+    for start in range(0, n, rows):
+        Xc = X[:, start:start + rows]
+        Xs = np.multiply(Xc, s[:, start:start + rows, None], out=buf[:, :Xc.shape[1]])
+        A += Xc.transpose(0, 2, 1) @ Xs
+        b += Xs.transpose(0, 2, 1) @ y[:, start:start + rows, None]
+    bad = ~(np.all(np.isfinite(A), axis=(1, 2)) & np.all(np.isfinite(b), axis=(1, 2)))
+    A[bad], b[bad] = 0.0, 0.0
+    A = 0.5 * (A + A.transpose(0, 2, 1))  # BLAS rounding can leave ~1 ulp asymmetry
+    w = linalg.solve_spd_with_jitter(A, b[..., 0], alpha)
+    w[bad] = np.nan
+    return w[0] if lone else w
 
 
-def objective(ensemble: EnsembleSpec, e) -> float:
+def objective(ensemble: EnsembleSpec, e):
     """Pooled (unweighted) empirical risk ``sum_i sum_k phi_k(e_i)`` of the
-    residuals ``e`` (see :func:`residuals`); ``inf`` once the sum overflows."""
+    residuals ``e`` (see :func:`residuals`); ``inf`` once the sum overflows.
+    A float for residuals (n,), one risk per fold for a stack's (k, rows)."""
     e = np.asarray(e, dtype=float)
-    return float(sum(np.sum(phi(spec, e)) for spec in ensemble.losses))
+    risk = sum(np.sum(phi(spec, e), axis=-1) for spec in ensemble.losses)
+    return float(risk) if e.ndim == 1 else risk
 
 
 def fit(ds: Dataset, ensemble: EnsembleSpec, config: SolverConfig | None = None) -> RelfModel:
-    """Fit the ensemble model by alternating P- and w-steps.
+    """Fit the ensemble model by alternating P- and w-steps: the one-fold
+    case of :func:`fit_folds`, whose docstring gives the details."""
+    return fit_folds(FoldStack.of(ds), ensemble, config)[0]
 
-    Iterates until the risk decrease falls below ``rel_tol`` (relative,
-    floored at 1) or ``max_iters`` is reached.  The trace records the risk
-    after every w-step; it is non-increasing.  Ensemble weights come from
-    the final P.
+
+def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
+              config: SolverConfig | None = None) -> list[RelfModel]:
+    """Fit every fold of ``stack`` by alternating P- and w-steps; one model
+    per fold.
+
+    All folds iterate in lockstep on the stacked arrays.  A fold stops once
+    its risk decrease falls below ``rel_tol`` (relative, floored at 1) or at
+    ``max_iters``, and is then frozen with its own iteration count.  The
+    trace records the risk after every w-step; it is non-increasing.
+    Ensemble weights come from the fold's final P.
+
+    A fold of ``rows`` real rows runs a lone :func:`fit`'s arithmetic.  A
+    padded fold's zero rows add exact zeros, but numpy's pairwise sums
+    (and BLAS blocking) split a longer row differently, so its risks agree
+    with a lone fit's to about 1e-15 relative, not bit for bit.  Its ``w``
+    and iteration count then match a lone fit's unless a risk decrease
+    lies within rounding of the ``rel_tol`` threshold.
 
     Raises
     ------
     NonFiniteObjectiveError
         Risk or iterate went NaN/Inf, or every loss assigned zero weight
         to every sample (all-redescended ensemble) -- both signal
-        pathological data or scales.
+        pathological data or scales.  Of the folds that fail, the first
+        one's error is raised, as a fold-by-fold loop would.
     FactorizationError
-        Propagated from the w-step if the jittered solve fails.
+        Propagated from the w-step if the jittered solve of any fold fails.
+        It ends the loop at once, so it takes precedence over another
+        fold's :class:`NonFiniteObjectiveError`, earlier folds' included.
     """
     config = config or SolverConfig()
     config.validate()
@@ -188,50 +224,74 @@ def fit(ds: Dataset, ensemble: EnsembleSpec, config: SolverConfig | None = None)
 
     if config.init == INIT_GAUSSIAN:
         rng = np.random.default_rng(config.init_seed)
-        w = rng.normal(0.0, config.init_std, size=ds.d)
+        w = np.tile(rng.normal(0.0, config.init_std, size=stack.d), (stack.k, 1))
     else:
-        w = np.zeros(ds.d)
+        w = np.zeros((stack.k, stack.d))
 
-    risks: list[float] = []
-    steps: list[float] = []
-    converged = False
-    P = None
+    risks = np.empty((config.max_iters, stack.k))
+    steps = np.empty((config.max_iters, stack.k))
+    iterations = np.zeros(stack.k, dtype=int)
+    converged = np.zeros(stack.k, dtype=bool)
+    active = np.ones(stack.k, dtype=bool)
+    weight_sums = {}  # fold -> (total, per-loss sums) of its final P
+    errors = {}
+
+    def freeze(P, folds):  # keep what the models need of the final P
+        for j in folds:
+            P_j = P[j, :stack.counts[j]]
+            weight_sums[j] = (float(P_j.sum()), P_j.sum(axis=0))
+
     # a residual whose square overflows has the overflow's limit as its
     # answer (phi = inf, delta = 0), and a risk of inf is rejected below,
     # so numpy need not warn about it
     with np.errstate(over="ignore"):
-        e = residuals(w, ds)
-        for _ in range(config.max_iters):
+        e = residuals(w, stack)
+        for it in range(1, config.max_iters + 1):
             P = update_p(ensemble, e)
-            w_next = update_w(ds, P, config.alpha)
-            e = residuals(w_next, ds)
-            risk = objective(ensemble, e)
-            if not np.isfinite(risk) or not np.all(np.isfinite(w_next)):
-                raise NonFiniteObjectiveError(
-                    f"objective became non-finite at iteration {len(risks) + 1}")
-            steps.append(float(np.max(np.abs(w_next - w))) if ds.d else 0.0)
-            if risks and abs(risks[-1] - risk) <= config.rel_tol * max(1.0, risks[-1]):
-                converged = True
-            risks.append(risk)
-            w = w_next
-            if converged:
+            w_next = update_w(stack, P, config.alpha)
+            e_next = residuals(w_next, stack)
+            risk = objective(ensemble, e_next)
+            finite = np.isfinite(risk) & np.all(np.isfinite(w_next), axis=1)
+            for j in np.flatnonzero(active & ~finite):
+                errors[j] = NonFiniteObjectiveError(
+                    f"objective became non-finite at iteration {it}")
+            live = active & finite
+            # frozen folds record NaN, which no later comparison can warn on
+            risks[it - 1] = np.where(live, risk, np.nan)
+            steps[it - 1] = np.max(np.abs(w_next - w), axis=1) if stack.d else 0.0
+            if it > 1:
+                prev = risks[it - 2]
+                converged |= live & (np.abs(prev - risks[it - 1])
+                                     <= config.rel_tol * np.maximum(1.0, prev))
+            iterations[live] = it
+            # frozen folds keep their iterate; the new arrays are taken
+            # over, so no second residual array outlives the iteration
+            w_next[~live], e_next[~live] = w[~live], e[~live]
+            w, e = w_next, e_next
+            freeze(P, np.flatnonzero(live & converged))
+            active = live & ~converged
+            if not active.any():
                 break
+        freeze(P, np.flatnonzero(active))
 
-    total = float(P.sum())
-    if not np.isfinite(total) or total <= 0.0:
-        raise NonFiniteObjectiveError(
-            "auxiliary weights sum to zero; every loss redescended on every "
-            "sample (check loss scales against the residual magnitude)")
-    lam = P.sum(axis=0) / total
-
-    trace = SolverTrace(
-        risks=np.asarray(risks),
-        max_steps=np.asarray(steps),
-        iterations=len(risks),
-        converged=converged,
-    )
-    return RelfModel(w=w, loss_weights=lam, ensemble=ensemble, config=config,
-                     trace=trace)
+    models = []
+    for j in range(stack.k):
+        if j in errors:
+            raise errors[j]
+        total, loss_sums = weight_sums[j]
+        if not np.isfinite(total) or total <= 0.0:
+            raise NonFiniteObjectiveError(
+                "auxiliary weights sum to zero; every loss redescended on every "
+                "sample (check loss scales against the residual magnitude)")
+        trace = SolverTrace(
+            risks=risks[:iterations[j], j].copy(),
+            max_steps=steps[:iterations[j], j].copy(),
+            iterations=int(iterations[j]),
+            converged=bool(converged[j]),
+        )
+        models.append(RelfModel(w=w[j].copy(), loss_weights=loss_sums / total,
+                                ensemble=ensemble, config=config, trace=trace))
+    return models
 
 
 def predict(model: RelfModel, X) -> np.ndarray:

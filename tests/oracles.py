@@ -141,13 +141,46 @@ def two_matvec_fit(ds, ensemble, config):
 
 def full_gram_update_w(ds, P, alpha):
     """The w-step with the whole weighted Gram in one product,
-    ``A = X^T (X * s)``, through a full n x d weighted copy of X; only the
-    jittered solve is the library's."""
+    ``A = X^T (X * s)``, through a full weighted copy of X; only the
+    jittered solve is the library's.  Like ``update_w``, it takes a
+    ``Dataset`` or a ``FoldStack`` (one Gram per fold)."""
     from relf.linalg import solve_spd_with_jitter
 
-    s = np.asarray(P, dtype=float).sum(axis=1)
-    Xs = ds.X * s[:, None]
-    A = ds.X.T @ Xs
-    A = 0.5 * (A + A.T)
-    b = Xs.T @ ds.y
+    s = np.asarray(P, dtype=float).sum(axis=-1)
+    Xs = ds.X * s[..., None]
+    A = np.swapaxes(ds.X, -1, -2) @ Xs
+    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    b = (np.swapaxes(Xs, -1, -2) @ ds.y[..., None])[..., 0]
     return solve_spd_with_jitter(A, b, alpha)
+
+
+def per_fold_cross_validate(ds, method, cv=None, *, contamination=None,
+                            scale_features=True, intercept=True, seed_keys=()):
+    """The k-fold contamination protocol one fold at a time: every fold gets
+    its own ``Dataset``s, its own scaler and its own fit.  Returns
+    ``(fold_mae, fold_rmse)``."""
+    from relf.data import add_intercept, apply_scaler, fit_scaler, inject_outliers, with_seed
+    from relf.evaluation import (CvConfig, RelfMethod, derive_seed, kfold_split, mae,
+                                 ols_fit, rmse)
+    from relf.solver import fit
+
+    fold_mae, fold_rmse = [], []
+    for fold_idx, (tr, te) in enumerate(kfold_split(ds.n, cv or CvConfig())):
+        train, test = ds.take(tr), ds.take(te)
+        if contamination is not None and contamination.outlier_fraction > 0:
+            noise = with_seed(contamination,
+                              derive_seed(contamination.seed, *seed_keys, fold_idx))
+            train = inject_outliers(train, noise)
+        if scale_features:
+            state = fit_scaler(train)
+            train, test = apply_scaler(train, state), apply_scaler(test, state)
+        if intercept:
+            train, test = add_intercept(train), add_intercept(test)
+        if isinstance(method, RelfMethod):
+            w = fit(train, method.ensemble, method.config).w
+        else:
+            w = ols_fit(train, method.ridge_alpha)
+        pred = test.X @ w
+        fold_mae.append(mae(test.y, pred))
+        fold_rmse.append(rmse(test.y, pred))
+    return np.asarray(fold_mae), np.asarray(fold_rmse)

@@ -23,6 +23,7 @@ from relf import (
     SolverConfig,
     SolverTrace,
     cross_validate,
+    cv_folds,
     decrease_ratio,
     delta,
     fit,
@@ -164,10 +165,9 @@ def test_criterion_5_robustness_win_rate(capsys):
             cv = CvConfig(folds=10, seed=trial)
             cont = NoiseConfig(mode=NOISE_OUTLIER, outlier_fraction=0.3,
                                outlier_magnitude=5.0, seed=trial)
-            kwargs = dict(contamination=cont, scale_features=False,
-                          intercept=False)
-            robust = cross_validate(ds, relf_method, cv, **kwargs)
-            plain = cross_validate(ds, ols_method, cv, **kwargs)
+            folds = cv_folds(ds, cv, scale_features=False, intercept=False)
+            robust = cross_validate(folds, relf_method, contamination=cont)
+            plain = cross_validate(folds, ols_method, contamination=cont)
             if robust.mean_mae < plain.mean_mae:
                 wins += 1
         elapsed = time.perf_counter() - t0

@@ -88,6 +88,15 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err == "error: header line has 3 cells, data rows have 2\n"
 
+    def test_overflowing_gram_is_solver_error(self, tmp_path, capsys):
+        # the squares of features near 1e300 overflow the w-step's Gram
+        data = tmp_path / "huge.csv"
+        data.write_text("x,y\n" + "".join(f"{i}e300,{i}\n" for i in range(5)))
+        code = main(["fit", "--data", str(data), "--label-column", "y"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "solver error: objective became non-finite at iteration 1\n"
+
     def test_unknown_flag(self, capsys):
         code = main(["fit", "--data", "x.csv", "--label-column", "y",
                      "--frobnicate"])

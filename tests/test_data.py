@@ -316,13 +316,6 @@ class TestScaler:
         assert_allclose(out.X.min(axis=0), -1.0)
         assert_allclose(out.X.max(axis=0), 1.0)
 
-    def test_label_scaling_optional(self):
-        ds = Dataset(X=[[0.0], [1.0]], y=[10.0, 30.0])
-        out = apply_scaler(ds, fit_scaler(ds, scale_labels=True))
-        assert_allclose(out.y, [-1.0, 1.0])
-        out2 = apply_scaler(ds, fit_scaler(ds))
-        assert_allclose(out2.y, ds.y)
-
     def test_width_mismatch(self):
         ds = Dataset(X=[[0.0, 1.0]], y=[0.0])
         state = fit_scaler(Dataset(X=[[0.0], [1.0]], y=[0.0, 0.0]))

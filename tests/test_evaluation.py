@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from relf import (
@@ -9,9 +11,16 @@ from relf import (
     Dataset,
     LeastSquaresMethod,
     NoiseConfig,
+    FoldStack,
     RelfMethod,
+    add_intercept,
+    apply_scaler,
+    fit_folds,
+    fit_scaler,
     SolverConfig,
     cross_validate,
+    cv_folds,
+    fit,
     increase_ratio,
     kfold_split,
     mae,
@@ -27,12 +36,13 @@ from relf.exceptions import (
     DataError,
     DimensionMismatchError,
     EmptyInputError,
+    NonFiniteObjectiveError,
     RelfError,
     TooManyFoldsError,
     ZeroCleanBaselineError,
 )
 
-from oracles import mc_mean_abs_gaussian, ols_oracle
+from oracles import mc_mean_abs_gaussian, ols_oracle, per_fold_cross_validate
 
 
 class TestMetrics:
@@ -155,54 +165,178 @@ class TestParseMethod:
 
 class TestCrossValidate:
     def test_noise_free_line_is_exact(self):
-        ds = synth_line()
+        folds = cv_folds(synth_line(), CvConfig(folds=5),
+                         scale_features=False, intercept=False)
         for method in (LeastSquaresMethod(),
                        RelfMethod(ensemble=parse_ensemble("welsch,l1l2"))):
-            res = cross_validate(ds, method, CvConfig(folds=5),
-                                 scale_features=False, intercept=False)
+            res = cross_validate(folds, method)
             assert np.all(res.fold_mae <= 1e-6)
 
     def test_constant_labels_with_intercept(self):
         rng = np.random.default_rng(2)
         ds = Dataset(X=rng.standard_normal((30, 2)), y=np.full(30, 7.0))
-        res = cross_validate(ds, LeastSquaresMethod(), CvConfig(folds=5),
-                             intercept=True)
+        res = cross_validate(cv_folds(ds, CvConfig(folds=5), intercept=True),
+                             LeastSquaresMethod())
         assert res.mean_mae <= 1e-6
 
     def test_gaussian_toy_matches_noise_level(self):
         # held-out MAE approaches E|z| for the injected N(0,1) noise
         ds = synth_line(NoiseConfig(mode=NOISE_GAUSSIAN, gaussian_std=1.0, seed=4))
         method = RelfMethod(ensemble=parse_ensemble("welsch:1.5,l1l2"))
-        res = cross_validate(ds, method, CvConfig(folds=10, seed=4),
-                             scale_features=False, intercept=False)
+        res = cross_validate(cv_folds(ds, CvConfig(folds=10, seed=4),
+                                      scale_features=False, intercept=False), method)
         assert abs(res.mean_mae - mc_mean_abs_gaussian(1.0)) <= 0.15
 
     def test_deterministic(self):
         ds = synth_line(NoiseConfig(mode=NOISE_GAUSSIAN, seed=1))
         method = RelfMethod(ensemble=parse_ensemble("welsch,l1l2"))
         cont = NoiseConfig(mode=NOISE_OUTLIER, outlier_fraction=0.3, seed=5)
-        a = cross_validate(ds, method, CvConfig(folds=5), contamination=cont)
-        b = cross_validate(ds, method, CvConfig(folds=5), contamination=cont)
+        a = cross_validate(cv_folds(ds, CvConfig(folds=5)), method, contamination=cont)
+        b = cross_validate(cv_folds(ds, CvConfig(folds=5)), method, contamination=cont)
         assert np.array_equal(a.fold_mae, b.fold_mae)
 
     def test_zero_contamination_equals_clean(self):
         ds = synth_line(NoiseConfig(mode=NOISE_GAUSSIAN, seed=3))
         cont = NoiseConfig(mode=NOISE_OUTLIER, outlier_fraction=0.0, seed=5)
-        clean = cross_validate(ds, LeastSquaresMethod(), CvConfig(folds=5))
-        dirty = cross_validate(ds, LeastSquaresMethod(), CvConfig(folds=5),
-                               contamination=cont)
+        folds = cv_folds(ds, CvConfig(folds=5))
+        clean = cross_validate(folds, LeastSquaresMethod())
+        dirty = cross_validate(folds, LeastSquaresMethod(), contamination=cont)
         assert np.array_equal(clean.fold_mae, dirty.fold_mae)
 
     def test_contamination_hurts_ols(self):
         ds = synth_line(NoiseConfig(mode=NOISE_GAUSSIAN, seed=7))
         cont = NoiseConfig(mode=NOISE_OUTLIER, outlier_fraction=0.3,
                            outlier_magnitude=5.0, seed=7)
-        clean = cross_validate(ds, LeastSquaresMethod(), CvConfig(folds=5),
-                               scale_features=False, intercept=False)
-        dirty = cross_validate(ds, LeastSquaresMethod(), CvConfig(folds=5),
-                               scale_features=False, intercept=False,
-                               contamination=cont)
+        folds = cv_folds(ds, CvConfig(folds=5), scale_features=False, intercept=False)
+        clean = cross_validate(folds, LeastSquaresMethod())
+        dirty = cross_validate(folds, LeastSquaresMethod(), contamination=cont)
         assert dirty.mean_mae > 2.0 * clean.mean_mae
+
+
+# every method kind the harness runs, at the solver's default settings
+ORACLE_METHODS = ("ols", "ridge:0.5", "irls:huber:0.5", "irls:welsch", "relf",
+                  "relf:welsch:0.5,fair:2")
+
+
+def _close(a, b, rtol):
+    return np.all(np.abs(a - b) <= rtol * np.abs(b))
+
+
+class TestStackedCrossValidate:
+    """The stacked ``cross_validate`` against the fold-by-fold loop in
+    ``oracles.per_fold_cross_validate``."""
+
+    @given(
+        n_folds=st.integers(2, 10),
+        extra=st.integers(0, 70),
+        d=st.integers(1, 6),
+        constant=st.lists(st.booleans(), min_size=6, max_size=6),
+        method=st.sampled_from(ORACLE_METHODS),
+        level=st.sampled_from((0.0, 0.1, 0.25, 0.5)),
+        flags=st.sampled_from(((True, True), (False, True), (True, False))),
+        seed=st.integers(0, 2**16),
+        label_scale=st.sampled_from((1.0, 100.0)),
+    )
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_per_fold_oracle(self, n_folds, extra, d, constant, method,
+                                     level, flags, seed, label_scale):
+        n = min(n_folds + extra, 80)  # often not a multiple of the fold count
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-5.0, 5.0, size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+        X[:, np.asarray(constant[:d])] = 3.0
+        y = label_scale * (X @ rng.standard_normal(d) + rng.standard_normal(n))
+        ds = Dataset(X=X, y=y)
+        cv = CvConfig(folds=n_folds, seed=seed)
+        scale_features, intercept = flags
+        contamination = NoiseConfig(mode=NOISE_OUTLIER, outlier_fraction=level,
+                                    outlier_magnitude=5.0, seed=seed)
+        m = parse_method(method)
+        kwargs = dict(contamination=contamination, seed_keys=(1, 2))
+        try:
+            ref = per_fold_cross_validate(ds, m, cv, scale_features=scale_features,
+                                          intercept=intercept, **kwargs)
+        except RelfError as exc:
+            with pytest.raises(type(exc)):
+                cross_validate(cv_folds(ds, cv, scale_features=scale_features,
+                                        intercept=intercept), m, **kwargs)
+            return
+        res = cross_validate(cv_folds(ds, cv, scale_features=scale_features,
+                                      intercept=intercept), m, **kwargs)
+        assert res.method == m.label
+        assert _close(res.fold_mae, ref[0], 1e-9)
+        assert _close(res.fold_rmse, ref[1], 1e-9)
+
+    def test_failing_inputs_raise_the_oracles_error(self):
+        ds = synth_line()
+        for cv, cont, error in (
+                (CvConfig(folds=82), None, TooManyFoldsError),
+                (CvConfig(folds=5), NoiseConfig(mode=NOISE_GAUSSIAN), DataError)):
+            with pytest.raises(error):
+                per_fold_cross_validate(ds, LeastSquaresMethod(), cv, contamination=cont)
+            with pytest.raises(error):
+                cross_validate(cv_folds(ds, cv), LeastSquaresMethod(), contamination=cont)
+        # only the last fold trains on labels all far enough out for welsch
+        # to give every sample weight 0
+        ds = Dataset(X=np.ones((40, 1)), y=np.where(np.arange(40) < 32, 1e4, 0.0))
+        method = parse_method("irls:welsch:0.01")
+        cv = CvConfig(folds=5, shuffle=False)
+        with pytest.raises(NonFiniteObjectiveError):
+            per_fold_cross_validate(ds, method, cv, scale_features=False, intercept=False)
+        with pytest.raises(NonFiniteObjectiveError):
+            cross_validate(cv_folds(ds, cv, scale_features=False, intercept=False), method)
+
+    def test_contamination_error_precedes_every_fit_error(self):
+        # fold 0 trains on labels all far enough out for welsch to give every
+        # sample weight 0; the other folds train on rows 0-7, whose labels
+        # span more than the float range, so their contamination overflows
+        y = np.full(40, 1e4)
+        y[:8] = [1e308, -1e308] * 4
+        ds = Dataset(X=np.ones((40, 1)), y=y)
+        method = parse_method("irls:welsch:0.01")
+        cv = CvConfig(folds=5, shuffle=False)
+        noise = NoiseConfig(mode=NOISE_OUTLIER, outlier_fraction=0.25, seed=0)
+        # one fold at a time, fold 0's fit fails before fold 1 is contaminated
+        with pytest.raises(NonFiniteObjectiveError):
+            per_fold_cross_validate(ds, method, cv, contamination=noise,
+                                    scale_features=False, intercept=False)
+        # stacked, every fold is contaminated before any fold is fitted; the
+        # label range overflows on the way
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="NaN/Inf"):
+            cross_validate(cv_folds(ds, cv, scale_features=False, intercept=False),
+                           method, contamination=noise)
+
+    def test_folds_stop_at_their_own_iteration(self):
+        # fold sizes 17 and 16 (padding), and folds that converge apart
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((41, 3))
+        y = X @ np.array([1.0, -2.0, 0.5]) + rng.standard_normal(41)
+        y[rng.choice(41, size=8, replace=False)] += 40.0
+        ds = Dataset(X=X, y=y)
+        folds = cv_folds(ds, CvConfig(folds=5, seed=1))
+        ensemble = parse_ensemble("welsch,l1l2,huber")
+        models = fit_folds(folds.train, ensemble)
+        assert len({m.trace.iterations for m in models}) > 1
+        for j, (tr, _) in enumerate(kfold_split(ds.n, CvConfig(folds=5, seed=1))):
+            train = ds.take(tr)
+            state = fit_scaler(train)
+            lone = fit(add_intercept(apply_scaler(train, state)), ensemble)
+            assert models[j].trace.iterations == lone.trace.iterations
+            assert models[j].trace.converged == lone.trace.converged
+            assert np.array_equal(models[j].w, lone.w)
+            assert_allclose(models[j].trace.risks, lone.trace.risks, rtol=1e-14, atol=0)
+            assert np.array_equal(models[j].loss_weights, lone.loss_weights)
+
+    def test_padding_rows_are_zero(self):
+        ds = synth_line()
+        folds = cv_folds(ds, CvConfig(folds=10))
+        for stack in (folds.train, folds.test):
+            assert isinstance(stack, FoldStack)
+            for j, m in enumerate(stack.counts):
+                assert not np.any(stack.X[j, m:]) and not np.any(stack.y[j, m:])
+                assert np.all(stack.X[j, :m, -1] == 1.0)
+        assert sorted(folds.test.counts) == [8] * 9 + [9]
+        assert folds.train.X.shape == (10, 73, 2)
 
 
 def _toy_manifest(tmp_path, extra_datasets=()):

@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from relf import (
-    accumulate_weighted_outer,
-    axpy,
-    dot,
-    scale,
-    solve_spd_with_jitter,
-)
+import scipy.linalg
+
+from relf import solve_spd_with_jitter
 from relf.exceptions import DimensionMismatchError, FactorizationError
 
 from oracles import gauss_solve
@@ -19,61 +15,11 @@ def _random_spd(d, seed):
     return M.T @ M + np.eye(d)
 
 
-def test_dot_scale_axpy():
-    assert dot((1.0, 2.0), (3.0, 4.0)) == 11.0
-    assert_allclose(scale((1.0, 2.0), 0.0), [0.0, 0.0])
-    assert_allclose(axpy(2.0, (1.0, 0.0), (0.0, 1.0)), [2.0, 1.0])
-
-
-def test_dot_length_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        dot((1.0,), (1.0, 2.0))
-    with pytest.raises(DimensionMismatchError):
-        axpy(1.0, (1.0,), (1.0, 2.0))
-
-
 def test_nonfinite_rejected():
     with pytest.raises(DimensionMismatchError):
-        dot((np.nan, 1.0), (1.0, 1.0))
+        solve_spd_with_jitter(np.eye(2), (np.nan, 1.0), 1e-8)
     with pytest.raises(DimensionMismatchError):
         solve_spd_with_jitter(np.array([[np.inf]]), [1.0], 1e-8)
-
-
-class TestAccumulate:
-    def test_rank_one(self):
-        acc = accumulate_weighted_outer(np.zeros((2, 2)), (1.0, 2.0), 1.0)
-        assert_allclose(acc, [[1.0, 2.0], [2.0, 4.0]])
-
-    def test_zero_vector_leaves_identity(self):
-        acc = accumulate_weighted_outer(np.eye(2), (0.0, 0.0), 5.0)
-        assert_allclose(acc, np.eye(2))
-
-    def test_two_half_weight_updates(self):
-        acc = np.zeros((2, 2))
-        accumulate_weighted_outer(acc, (1.0, 1.0), 0.5)
-        accumulate_weighted_outer(acc, (1.0, 1.0), 0.5)
-        assert_allclose(acc, [[1.0, 1.0], [1.0, 1.0]])
-
-    def test_mutates_in_place(self):
-        acc = np.zeros((2, 2))
-        out = accumulate_weighted_outer(acc, (1.0, 0.0), 2.0)
-        assert out is acc
-
-    def test_bitwise_symmetry(self):
-        rng = np.random.default_rng(7)
-        acc = np.zeros((6, 6))
-        for _ in range(50):
-            accumulate_weighted_outer(acc, rng.standard_normal(6),
-                                      float(rng.random()))
-        assert np.array_equal(acc, acc.T)
-
-    def test_errors(self):
-        with pytest.raises(DimensionMismatchError):
-            accumulate_weighted_outer(np.zeros((2, 3)), (1.0, 2.0), 1.0)
-        with pytest.raises(DimensionMismatchError):
-            accumulate_weighted_outer(np.zeros((2, 2)), (1.0, 2.0, 3.0), 1.0)
-        with pytest.raises(ValueError):
-            accumulate_weighted_outer(np.zeros((2, 2)), (1.0, 2.0), -1.0)
 
 
 class TestSolve:
@@ -122,3 +68,32 @@ class TestSolve:
             solve_spd_with_jitter(np.zeros((2, 3)), (1.0, 2.0), 1e-8)
         with pytest.raises(DimensionMismatchError):
             solve_spd_with_jitter(np.eye(2), (1.0, 2.0, 3.0), 1e-8)
+
+
+class TestStackedSolve:
+    """A (k, d, d) stack is solved system by system, with the numbers of
+    scipy's ``cho_factor``/``cho_solve`` on each."""
+
+    @pytest.mark.parametrize("d", [1, 4, 12])
+    def test_matches_cho_solve_bit_for_bit(self, d):
+        A = np.stack([_random_spd(d, seed) for seed in range(5)])
+        b = np.random.default_rng(d).standard_normal((5, d))
+        w = solve_spd_with_jitter(A, b, 1e-8)
+        for j in range(5):
+            M = A[j] + 1e-8 * np.eye(d)
+            ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(M, lower=True), b[j])
+            assert np.array_equal(w[j], ref)
+            assert np.array_equal(solve_spd_with_jitter(A[j], b[j], 1e-8), ref)
+
+    def test_one_indefinite_system_fails_the_stack(self):
+        A = np.stack([np.eye(2), np.array([[-5.0, 0.0], [0.0, 1.0]])])
+        with pytest.raises(FactorizationError):
+            solve_spd_with_jitter(A, np.ones((2, 2)), 1e-8)
+
+    def test_shape_errors(self):
+        with pytest.raises(DimensionMismatchError):
+            solve_spd_with_jitter(np.stack([np.eye(2)] * 3), np.ones((2, 2)), 1e-8)
+        with pytest.raises(DimensionMismatchError):
+            solve_spd_with_jitter(np.eye(2), np.ones((1, 2)), 1e-8)
+        with pytest.raises(DimensionMismatchError):
+            solve_spd_with_jitter(np.ones((1, 1, 2, 2)), np.ones((1, 1, 2)), 1e-8)

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from relf import (
     Dataset,
     EnsembleSpec,
+    FoldStack,
     LossSpec,
     NoiseConfig,
     RelfModel,
@@ -17,6 +18,7 @@ from relf import (
     SolverTrace,
     decrease_ratio,
     fit,
+    fit_folds,
     load_model,
     objective,
     parse_ensemble,
@@ -192,6 +194,54 @@ class TestBlockedUpdateW:
         assert _rel_err(model.w, ref.w) <= 1e-12
 
 
+class TestStackedSteps:
+    """Every step on a ``FoldStack`` gives each fold the numbers it gets
+    on its own, bit for bit."""
+
+    @staticmethod
+    def _stack(k, n, d, seed):
+        parts = [_random_ds(n, d, seed + j, outliers=True) for j in range(k)]
+        return parts, FoldStack(np.stack([p.X for p in parts]),
+                                np.stack([p.y for p in parts]), np.full(k, n))
+
+    @pytest.mark.parametrize("n, d", [(40, 1), (90, 4), (3 * 512 + 7, 32)])
+    def test_steps_match_lone_folds(self, n, d):
+        parts, stack = self._stack(4, n, d, seed=n)
+        ens = parse_ensemble("welsch,l1l2,huber")
+        W = np.random.default_rng(d).standard_normal((4, d))
+        E = residuals(W, stack)
+        P = update_p(ens, E)
+        w = update_w(stack, P, 1e-8)
+        risk = objective(ens, E)
+        for j, part in enumerate(parts):
+            e = residuals(W[j], part)
+            assert np.array_equal(E[j], e)
+            assert np.array_equal(P[j], update_p(ens, e))
+            assert np.array_equal(w[j], update_w(part, P[j], 1e-8))
+            assert risk[j] == objective(ens, e)
+
+    def test_nonfinite_fold_gets_nan_alone(self):
+        parts, stack = self._stack(3, 5, 2, seed=1)
+        stack.X[1, :, 0] = np.arange(5) * 1e300
+        P = np.ones((3, 5, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                w = update_w(stack, P, 1e-8)
+        assert np.all(np.isnan(w[1]))
+        for j in (0, 2):
+            assert np.array_equal(w[j], update_w(parts[j], P[j], 1e-8))
+
+    def test_fit_folds_raise_the_first_failing_fold(self):
+        parts, stack = self._stack(3, 30, 2, seed=4)
+        stack.X[2, :, 0] = np.arange(30) * 1e300
+        stack.y[1] = 1e4  # welsch at scale 0.01 drops every sample of fold 1
+        with pytest.raises(NonFiniteObjectiveError, match="sum to zero"):
+            fit_folds(stack, parse_ensemble("welsch:0.01"))
+        with pytest.raises(NonFiniteObjectiveError, match="at iteration 1$"):
+            fit_folds(stack, parse_ensemble("l1l2"))
+
+
 class TestObjective:
     def test_perfect_fit(self):
         ds = Dataset(X=[[1.0], [2.0]], y=[3.0, 6.0])
@@ -314,6 +364,41 @@ class TestFit:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteObjectiveError):
                 fit(ds, parse_ensemble(ensemble))
+
+    @pytest.mark.parametrize("ensemble", ["welsch,l1l2", "l1l2", "huber"])
+    def test_overflowing_gram_raises_the_typed_error(self, ensemble):
+        # the squares of features near 1e300 overflow the w-step's Gram
+        ds = Dataset(X=np.column_stack([np.arange(5) * 1e300, np.ones(5)]),
+                     y=np.arange(5.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteObjectiveError, match="at iteration 1$"):
+                fit(ds, parse_ensemble(ensemble))
+
+    def test_factorization_error_precedes_earlier_folds_errors(self, monkeypatch):
+        # fold 0's Gram overflows, so its w-step solves a zeroed system and
+        # its w is NaN; fold 1's factorization is made to fail
+        from relf import linalg
+        from relf.exceptions import FactorizationError
+        solve = linalg._cholesky_solve
+
+        def fail_on_nonzero_rhs(M, b, alpha):
+            if np.any(b):
+                raise FactorizationError("forced")
+            return solve(M, b, alpha)
+
+        monkeypatch.setattr(linalg, "_cholesky_solve", fail_on_nonzero_rhs)
+        overflowing = np.column_stack([np.arange(5) * 1e300, np.ones(5)])
+        plain = np.column_stack([np.arange(5.0), np.ones(5)])
+        stack = FoldStack(np.stack([overflowing, plain]),
+                          np.stack([np.arange(5.0), np.arange(5.0)]), np.array([5, 5]))
+        ensemble = parse_ensemble("welsch,l1l2")
+        # one fold at a time, fold 0 fails first, with its own error
+        with pytest.raises(NonFiniteObjectiveError):
+            fit(Dataset(X=overflowing, y=np.arange(5.0)), ensemble)
+        # stacked, fold 1's failed factorization ends the loop at once
+        with pytest.raises(FactorizationError, match="forced"):
+            fit_folds(stack, ensemble)
 
     def test_extreme_labels_get_weight_zero(self):
         # e^2 overflows, so welsch gives those samples weight 0 and fits
