@@ -9,14 +9,14 @@ inputs).  Everything happens in a temporary directory.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from relf import (
-    Dataset,
     NoiseConfig,
-    add_intercept,
+    Preprocessing,
     fit,
     load_csv,
     load_libsvm,
@@ -50,12 +50,13 @@ print(f"libsvm: {from_svm.n} rows, max |csv - libsvm| = "
       f"{np.max(np.abs(from_csv.X - from_svm.X)):.1e}")
 
 # --- model json ---
-train = add_intercept(from_csv)
-model = fit(train, parse_ensemble("welsch:1.5,l1l2"))
+preprocessing = Preprocessing.fit(from_csv, scale=False, intercept=True)
+model = replace(fit(preprocessing.apply(from_csv), parse_ensemble("welsch:1.5,l1l2")),
+                preprocessing=preprocessing)
 model_path = work / "model.json"
-save_model(model, model_path, preprocessing={"intercept": True, "scaler": None})
-back, preprocessing = load_model(model_path)
-X = np.hstack([from_csv.X, np.ones((from_csv.n, 1))])  # apply stored intercept
+save_model(model, model_path)
+back = load_model(model_path)
+X = back.preprocessing.apply(from_csv).X  # the stored intercept, applied
 print(f"model:  w = {np.round(back.w, 4)}, "
       f"lambda = {np.round(back.loss_weights, 4)}")
 print(f"        reload mae {mae(from_csv.y, predict(back, X)):.4f} "

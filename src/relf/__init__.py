@@ -38,7 +38,6 @@ from .losses import (
     EnsembleSpec,
     LossSpec,
     delta,
-    format_ensemble,
     parse_ensemble,
     phi,
     validate_ensemble,
@@ -49,6 +48,7 @@ from .data import (
     Dataset,
     FoldStack,
     NoiseConfig,
+    Preprocessing,
     ScalerState,
     add_intercept,
     apply_scaler,

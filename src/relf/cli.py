@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,19 +23,16 @@ import numpy as np
 from .data import (
     NOISE_GAUSSIAN,
     NOISE_OUTLIER,
-    add_intercept,
-    apply_scaler,
-    fit_scaler,
     load_csv,
+    load_json,
     load_libsvm,
     synth_line,
     Dataset,
     NoiseConfig,
-    ScalerState,
+    Preprocessing,
 )
-from .evaluation import run_benchmark
+from .evaluation import mae, rmse, run_benchmark
 from .exceptions import (
-    DataIOError,
     FactorizationError,
     NonFiniteObjectiveError,
     RelfError,
@@ -70,24 +68,13 @@ def _echo_config(command: str, payload: dict) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=1e-8,
-                   help="jitter for the normal equations (default 1e-8)")
-    p.add_argument("--max-iters", type=int, default=30)
-    p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--init", choices=["zeros", "gaussian"], default="zeros")
-    p.add_argument("--init-seed", type=int, default=0)
-    p.add_argument("--init-std", type=float, default=1.0)
+    for f in fields(SolverConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                       default=f.default, **f.metadata)
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(alpha=args.alpha, max_iters=args.max_iters,
-                        rel_tol=args.rel_tol, init=args.init,
-                        init_seed=args.init_seed, init_std=args.init_std)
-
-
-def _solver_echo(cfg: SolverConfig) -> dict:
-    return {"alpha": cfg.alpha, "max_iters": cfg.max_iters, "rel_tol": cfg.rel_tol,
-            "init": cfg.init, "init_seed": cfg.init_seed, "init_std": cfg.init_std}
+    return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
 
 
 def _load_dataset(path: str, fmt: str, label_column, has_header: bool) -> Dataset:
@@ -121,31 +108,19 @@ def cmd_fit(args) -> int:
         "label_column": args.label_column, "has_header": not args.no_header,
         "ensemble": args.ensemble, "intercept": not args.no_intercept,
         "scale": args.scale, "output": args.output,
-        "solver": _solver_echo(config),
+        "solver": asdict(config),
     })
     ds = _load_dataset(args.data, args.format, args.label_column,
                        has_header=not args.no_header)
     print(f"loaded: {args.data} (n={ds.n}, d={ds.d})")
 
-    scaler = None
-    if args.scale:
-        scaler = fit_scaler(ds)
-        ds = apply_scaler(ds, scaler)
-    if not args.no_intercept:
-        ds = add_intercept(ds)
-
-    model = fit(ds, ensemble, config)
+    preprocessing = Preprocessing.fit(ds, args.scale, not args.no_intercept)
+    ds = preprocessing.apply(ds)
+    model = replace(fit(ds, ensemble, config), preprocessing=preprocessing)
     _print_model(model, ds.feature_names)
 
     if args.output:
-        preprocessing = {
-            "intercept": not args.no_intercept,
-            "scaler": None if scaler is None else {
-                "feature_min": [float(v) for v in scaler.feature_min],
-                "feature_max": [float(v) for v in scaler.feature_max],
-            },
-        }
-        save_model(model, args.output, preprocessing)
+        save_model(model, args.output)
         print(f"model: {args.output}")
     return EXIT_OK
 
@@ -156,33 +131,20 @@ def cmd_predict(args) -> int:
         "label_column": args.label_column, "has_header": not args.no_header,
         "output": args.output,
     })
-    try:
-        model, preprocessing = load_model(args.model)
-    except OSError as exc:
-        raise DataIOError(f"cannot read model {args.model}: {exc}") from exc
+    model = load_model(args.model)
 
     if args.format == "libsvm" or args.label_column is not None:
         ds = _load_dataset(args.data, args.format, args.label_column,
                            has_header=not args.no_header)
-        X, y = ds.X, ds.y
+        y = ds.y
     else:
         # label-free csv: every column is a feature
         ds = load_csv(args.data, 0, has_header=not args.no_header)
-        X = np.hstack([ds.y[:, None], ds.X])
+        ds = Dataset(X=np.hstack([ds.y[:, None], ds.X]), y=np.zeros(ds.n))
         y = None
 
-    scaler_info = preprocessing.get("scaler")
-    if scaler_info is not None:
-        state = ScalerState(
-            feature_min=np.asarray(scaler_info["feature_min"], dtype=float),
-            feature_max=np.asarray(scaler_info["feature_max"], dtype=float))
-        X = apply_scaler(Dataset(X=X, y=np.zeros(X.shape[0])), state).X
-    if preprocessing.get("intercept"):
-        X = np.hstack([X, np.ones((X.shape[0], 1))])
-
-    yhat = predict(model, X)
+    yhat = predict(model, model.preprocessing.apply(ds).X)
     if y is not None:
-        from .evaluation import mae, rmse
         print(f"mae: {mae(y, yhat):.6f}")
         print(f"rmse: {rmse(y, yhat):.6f}")
     if args.output:
@@ -216,7 +178,7 @@ def cmd_toy(args) -> int:
         "gaussian_std": args.gaussian_std,
         "outlier_fraction": args.outlier_fraction,
         "outlier_magnitude": args.outlier_magnitude,
-        "ensemble": args.ensemble, "solver": _solver_echo(config),
+        "ensemble": args.ensemble, "solver": asdict(config),
     })
     ds = synth_line(noise)
     model = fit(ds, ensemble, config)
@@ -226,18 +188,8 @@ def cmd_toy(args) -> int:
 
 def cmd_bench(args) -> int:
     _echo_config("bench", {"manifest": args.manifest, "output_dir": args.output_dir})
-    manifest_path = Path(args.manifest)
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise DataIOError(f"cannot read manifest {args.manifest}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataIOError.undecodable(args.manifest, exc) from None
-    except json.JSONDecodeError as exc:
-        raise RelfError(f"manifest is not valid JSON: {exc}") from exc
-
-    report = run_benchmark(manifest, base_dir=manifest_path.parent)
+    manifest = load_json(args.manifest, "manifest")
+    report = run_benchmark(manifest, base_dir=Path(args.manifest).parent)
     json_path, csv_path = report.write(args.output_dir)
     for cell in report.cells:
         head = (f"{cell['dataset']} {cell['method']} "
@@ -320,7 +272,7 @@ def main(argv=None) -> int:
     except (FactorizationError, NonFiniteObjectiveError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (RelfError, OSError, json.JSONDecodeError) as exc:
+    except (RelfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import csv
 import io
+import json
+import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from .exceptions import (
     NonPositiveIndexError,
     ParseError,
     RaggedRowsError,
+    RelfError,
 )
 
 NOISE_GAUSSIAN = "gaussian"
@@ -86,10 +90,10 @@ class FoldStack:
     (k, rows, d) and ``y`` is (k, rows).
 
     Fold ``j`` holds ``counts[j]`` rows; a shorter fold is padded up to
-    ``rows`` with all-zero rows and zero labels.  A zero row has residual 0,
-    ``phi(0) = 0``, and adds exactly 0 to a Gram, so the solver needs no
-    mask.  A single :class:`Dataset` is the one-fold stack
-    :meth:`of`, which shares its arrays.
+    ``rows`` with all-zero rows and zero labels, which no sum includes
+    (see :attr:`runs`), so each fold gives a lone fit's bits.  A single
+    :class:`Dataset` is the one-fold stack :meth:`of`, which shares its
+    arrays.
     """
 
     X: np.ndarray
@@ -106,12 +110,19 @@ class FoldStack:
 
     @property
     def n(self) -> int:
-        """Rows over all folds, padding included."""
-        return self.X.shape[0] * self.X.shape[1]
+        """Real rows over all folds, which the w-step sums over."""
+        return int(self.counts.sum())
 
     @property
     def d(self) -> int:
         return self.X.shape[2]
+
+    @cached_property
+    def runs(self) -> list[tuple[slice, int]]:
+        """``(folds, count)`` per run of adjacent folds of ``count`` rows
+        each: a batched sum over ``X[folds, :count]`` skips the padding."""
+        edges = [0, *(np.flatnonzero(np.diff(self.counts)) + 1), self.k]
+        return [(slice(a, b), int(self.counts[a])) for a, b in zip(edges, edges[1:])]
 
 
 @dataclass(frozen=True)
@@ -150,6 +161,99 @@ class ScalerState:
 
     feature_min: np.ndarray
     feature_max: np.ndarray
+
+    def __eq__(self, other):
+        return (isinstance(other, ScalerState)
+                and np.array_equal(self.feature_min, other.feature_min)
+                and np.array_equal(self.feature_max, other.feature_max))
+
+
+@dataclass(frozen=True)
+class Preprocessing:
+    """A model's feature map: min-max scaling by ``scaler`` (if not None),
+    then an intercept column (if ``intercept``); by default the identity."""
+
+    scaler: ScalerState | None = None
+    intercept: bool = False
+
+    @classmethod
+    def fit(cls, ds: Dataset, scale: bool, intercept: bool) -> "Preprocessing":
+        """The map for training data ``ds``, scaled by its own ranges."""
+        return cls(fit_scaler(ds) if scale else None, intercept)
+
+    def apply(self, ds: Dataset) -> Dataset:
+        if self.scaler is not None:
+            ds = apply_scaler(ds, self.scaler)
+        return add_intercept(ds) if self.intercept else ds
+
+    def to_dict(self) -> dict:
+        return {"intercept": self.intercept, "scaler": None if self.scaler is None else {
+            "feature_min": [float(v) for v in self.scaler.feature_min],
+            "feature_max": [float(v) for v in self.scaler.feature_max],
+        }}
+
+    @classmethod
+    def from_dict(cls, obj: dict, width: int) -> "Preprocessing":
+        """Inverse of :meth:`to_dict` for a model of ``width`` weights;
+        :class:`RelfError` for a value it could not have written."""
+        if not isinstance(obj, dict):
+            raise RelfError("model 'preprocessing' must be an object")
+        intercept = "intercept" in obj and json_field(obj, "intercept", bool,
+                                                      "model preprocessing")
+        if obj.get("scaler") is None:
+            return cls(None, intercept)
+        lo = json_numbers(obj["scaler"], "feature_min", "model scaler")
+        hi = json_numbers(obj["scaler"], "feature_max", "model scaler")
+        if lo.shape != hi.shape:
+            raise RelfError(f"model scaler has {lo.shape[0]} minima and {hi.shape[0]} maxima")
+        if width != lo.shape[0] + intercept:
+            raise RelfError(f"model has {width} weights, but its preprocessing "
+                            f"yields {lo.shape[0] + intercept} columns")
+        return cls(ScalerState(lo, hi), intercept)
+
+
+_KIND_NAMES = {str: "a string", bool: "a boolean", int: "an integer",
+               float: "a finite number", list: "a list", dict: "an object"}
+
+
+def _conforms(value, kind: type) -> bool:
+    """JSON typing: ``float`` takes any finite number; a boolean is no ``int``."""
+    if isinstance(value, bool) and kind is not bool:
+        return False
+    if kind is float:  # an exact comparison, so no int overflows
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def load_json(path, what: str):
+    """The JSON value in the file at ``path``, whose errors call it ``what``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DataIOError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataIOError.undecodable(path, exc) from None
+    except json.JSONDecodeError as exc:
+        raise RelfError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def json_field(obj, key: str, kind: type, where: str):
+    """``obj[key]`` if ``obj`` is a JSON object whose ``key`` holds a
+    ``kind`` value; :class:`RelfError` otherwise."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise RelfError(f"{where} lacks {key!r}")
+    if not _conforms(obj[key], kind):
+        raise RelfError(f"{where} {key!r} must be {_KIND_NAMES[kind]}")
+    return obj[key]
+
+
+def json_numbers(obj, key: str, where: str) -> np.ndarray:
+    """``obj[key]`` as a float array, if it is a list of finite numbers."""
+    values = json_field(obj, key, list, where)
+    if not all(_conforms(v, float) for v in values):
+        raise RelfError(f"{where} {key!r} must be a list of finite numbers")
+    return np.asarray(values, dtype=float)
 
 
 def load_csv(path, label_column, has_header: bool = True) -> Dataset:
@@ -366,12 +470,16 @@ def fit_scaler(ds: Dataset) -> ScalerState:
 
 def minmax_map(values, lo, hi):
     """Map ``values`` onto [-1, 1] by ``lo``/``hi`` (broadcast against
-    them); where ``hi == lo`` the result is 0."""
-    span = hi - lo
-    # -1 + 2 (values - lo) / span, in place on one array of the result's size
-    out = values - lo
-    out *= 2.0
+    them); where ``hi/2 == lo/2`` the result is 0.
+
+    Halving first keeps every step finite for values in ``[lo, hi]``.  It
+    is exact from twice the smallest normal up, where the result has the
+    bits of ``-1 + 2 (values - lo) / (hi - lo)``."""
+    span = hi / 2 - lo / 2
+    out = values / 2  # then in place, on one array of the result's size
+    out -= lo / 2
     out /= np.where(span > 0, span, 1.0)
+    out *= 2.0
     out += -1.0
     np.copyto(out, 0.0, where=~(span > 0))
     return out
@@ -430,7 +538,8 @@ def inject_outliers(ds: Dataset, noise: NoiseConfig) -> Dataset:
 
 
 def displace_labels(y: np.ndarray, noise: NoiseConfig) -> np.ndarray:
-    """The labels ``y`` after :func:`inject_outliers`, as a new array."""
+    """The labels ``y`` after :func:`inject_outliers`, as a new array;
+    :class:`DataError` if a displaced label leaves the float range."""
     if noise.mode != NOISE_OUTLIER:
         raise DataError(f"inject_outliers needs mode={NOISE_OUTLIER!r}, got {noise.mode!r}")
     k = int(round(noise.outlier_fraction * y.shape[0]))
@@ -439,11 +548,9 @@ def displace_labels(y: np.ndarray, noise: NoiseConfig) -> np.ndarray:
         rng = np.random.default_rng(noise.seed)
         idx = rng.choice(y.shape[0], size=k, replace=False)
         signs = rng.choice(np.array([-1.0, 1.0]), size=k)
-        spread = float(y.max() - y.min())
-        y[idx] = y[idx] + signs * noise.outlier_magnitude * spread
+        with np.errstate(over="ignore"):  # an overflow gives inf, rejected below
+            moved = y[idx] + signs * noise.outlier_magnitude * float(y.max() - y.min())
+        if not np.isfinite(moved).all():
+            raise DataError("displaced labels overflow the float range")
+        y[idx] = moved
     return y
-
-
-def with_seed(noise: NoiseConfig, seed: int) -> NoiseConfig:
-    """Copy of ``noise`` with a different seed (fold-level derivation)."""
-    return replace(noise, seed=int(seed))

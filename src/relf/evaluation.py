@@ -14,7 +14,7 @@ method cares about outliers.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +25,12 @@ from .data import (
     NoiseConfig,
     NOISE_GAUSSIAN,
     NOISE_OUTLIER,
-    add_intercept,
-    apply_scaler,
+    Preprocessing,
     displace_labels,
-    fit_scaler,
     load_csv,
     load_libsvm,
     minmax_map,
     synth_line,
-    with_seed,
 )
 from .exceptions import (
     DataError,
@@ -119,16 +116,22 @@ def derive_seed(*keys) -> int:
 def ols_fit(ds: Dataset | FoldStack, ridge_alpha: float = 0.0) -> np.ndarray:
     """Least squares via the normal equations, with optional ridge term:
     ``w`` (d,) for a :class:`Dataset`, one ``w`` per fold for a
-    :class:`FoldStack`.
+    :class:`FoldStack`, from sums over the fold's own rows.
 
     ``ridge_alpha`` is passed straight to the jittered SPD solve, so 0
     still gets the 1e-12 stability floor; large values shrink ``w`` to 0.
     """
-    Xt = np.swapaxes(ds.X, -1, -2)
-    A = Xt @ ds.X
-    A = 0.5 * (A + np.swapaxes(A, -1, -2))
-    b = (Xt @ ds.y[..., None])[..., 0]
-    return linalg.solve_spd_with_jitter(A, b, ridge_alpha)
+    lone = isinstance(ds, Dataset)
+    stack = FoldStack.of(ds) if lone else ds
+    A = np.empty((stack.k, stack.d, stack.d))
+    b = np.empty((stack.k, stack.d, 1))
+    for folds, count in stack.runs:
+        X, y = stack.X[folds, :count], stack.y[folds, :count]
+        A[folds] = X.transpose(0, 2, 1) @ X
+        b[folds] = X.transpose(0, 2, 1) @ y[..., None]
+    A = 0.5 * (A + A.transpose(0, 2, 1))
+    w = linalg.solve_spd_with_jitter(A, b[..., 0], ridge_alpha)
+    return w[0] if lone else w
 
 
 @dataclass(frozen=True)
@@ -286,7 +289,7 @@ def cross_validate(folds: CvFolds, method, *, contamination: NoiseConfig | None 
     split itself is independent of contamination, so clean/contaminated
     runs compare like for like.
 
-    A contaminated label that is not finite, in any fold, raises
+    A contaminated label that overflows, in any fold, raises
     :class:`DataError` before any fold is fitted, so it takes precedence
     over every fold's fit error; :func:`fit_folds` orders those.
     """
@@ -294,10 +297,9 @@ def cross_validate(folds: CvFolds, method, *, contamination: NoiseConfig | None 
     if contamination is not None and contamination.outlier_fraction > 0:
         y = np.zeros_like(train.y)
         for j, m in enumerate(train.counts):
-            noise = with_seed(contamination, derive_seed(contamination.seed, *seed_keys, j))
+            noise = replace(contamination,
+                            seed=derive_seed(contamination.seed, *seed_keys, j))
             y[j, :m] = displace_labels(train.y[j, :m], noise)
-        if not np.all(np.isfinite(y)):
-            raise DataError("dataset contains NaN/Inf")
         train = replace(train, y=y)
     w = method.fold_weights(train)
     test = folds.test
@@ -451,11 +453,8 @@ def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
     cv_spec = manifest.get("cv", {})
     cv = CvConfig(folds=cv_spec.get("folds", 10), seed=cv_spec.get("seed", 0),
                   shuffle=cv_spec.get("shuffle", True))
-    sv = manifest.get("solver", {})
-    solver_config = SolverConfig(
-        alpha=sv.get("alpha", 1e-8), max_iters=sv.get("max_iters", 30),
-        rel_tol=sv.get("rel_tol", 1e-8), init=sv.get("init", "zeros"),
-        init_seed=sv.get("init_seed", 0), init_std=sv.get("init_std", 1.0))
+    solver_config = SolverConfig.from_dict(
+        {**asdict(SolverConfig()), **manifest.get("solver", {})}, "manifest solver")
     levels = [float(v) for v in manifest.get("contamination_levels", [0.0, 0.3])]
     magnitude = manifest.get("outlier_magnitude", 5.0)
     outlier_seed = manifest.get("outlier_seed", 0)
@@ -525,11 +524,7 @@ def _convergence_report(ds: Dataset, method: RelfMethod, name: str,
                         scale_features: bool, intercept: bool) -> dict:
     report = {"dataset": name, "method": method.label}
     try:
-        work = ds
-        if scale_features:
-            work = apply_scaler(work, fit_scaler(work))
-        if intercept:
-            work = add_intercept(work)
+        work = Preprocessing.fit(ds, scale_features, intercept).apply(ds)
         t0 = time.perf_counter()
         model = fit(work, method.ensemble, method.config)
         seconds = time.perf_counter() - t0

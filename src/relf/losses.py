@@ -250,11 +250,6 @@ def parse_ensemble(text: str) -> EnsembleSpec:
     return ensemble
 
 
-def format_ensemble(ensemble: EnsembleSpec) -> str:
-    """Inverse of :func:`parse_ensemble` (up to float formatting)."""
-    return ",".join(ensemble.labels())
-
-
 def _fmt_scale(scale: float) -> str:
     text = repr(float(scale))
     return text[:-2] if text.endswith(".0") else text

@@ -27,17 +27,15 @@ large share.
 from __future__ import annotations
 
 import json
-import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import get_type_hints
 
 import numpy as np
 
 from . import linalg
-from .data import Dataset, FoldStack
+from .data import Dataset, FoldStack, Preprocessing, json_field, json_numbers, load_json
 from .exceptions import (
-    DataIOError,
     DegenerateTraceWarning,
     DimensionMismatchError,
     NonFiniteObjectiveError,
@@ -62,12 +60,26 @@ class SolverConfig:
         (isotropic N(0, init_std^2), seeded by ``init_seed``).
     """
 
-    alpha: float = 1e-8
+    alpha: float = field(default=1e-8, metadata={
+        "help": "jitter for the normal equations (default %(default)s)"})
     max_iters: int = 30
     rel_tol: float = 1e-8
-    init: str = INIT_ZEROS
+    init: str = field(default=INIT_ZEROS, metadata={"choices": (INIT_ZEROS, INIT_GAUSSIAN)})
     init_seed: int = 0
     init_std: float = 1.0
+
+    @classmethod
+    def from_dict(cls, obj, where: str) -> "SolverConfig":
+        """The config whose fields are the JSON object ``obj``: every field
+        present with its type, no other key, and values :meth:`validate`
+        accepts; :class:`RelfError` naming ``where`` otherwise."""
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise RelfError(f"{where} has unknown key {unknown[0]!r}")
+        config = cls(**{name: json_field(obj, name, kind, where)
+                        for name, kind in get_type_hints(cls).items()})
+        config.validate()
+        return config
 
     def validate(self) -> None:
         if not np.isfinite(self.alpha) or self.alpha < 0:
@@ -101,6 +113,7 @@ class RelfModel:
     ensemble: EnsembleSpec
     config: SolverConfig = field(default_factory=SolverConfig)
     trace: SolverTrace | None = None
+    preprocessing: Preprocessing = field(default_factory=Preprocessing)
 
 
 def residuals(w, ds: Dataset | FoldStack) -> np.ndarray:
@@ -140,9 +153,10 @@ def update_w(ds: Dataset | FoldStack, P: np.ndarray, alpha: float) -> np.ndarray
 
     ``ds`` is a :class:`Dataset` with ``P`` (n, m), giving ``w`` (d,), or a
     :class:`FoldStack` with ``P`` (k, rows, m), giving one ``w`` per fold.
-    Per fold, ``A = X^T S X`` and ``b = X^T S y`` are summed over row blocks
-    of :func:`gram_block_rows` rows, each weighted into one reused buffer,
-    so no weighted copy of X is made.  A fold whose ``A`` or ``b`` is not
+    Per fold, ``A = X^T S X`` and ``b = X^T S y`` are summed over the
+    fold's own rows (:attr:`FoldStack.runs`) in row blocks of
+    :func:`gram_block_rows` rows, each weighted into one reused buffer, so
+    no weighted copy of X is made.  A fold whose ``A`` or ``b`` is not
     finite (features near the float range overflow the Gram) gets a NaN
     ``w``, which :func:`fit` reports as :class:`NonFiniteObjectiveError`.
     """
@@ -150,21 +164,22 @@ def update_w(ds: Dataset | FoldStack, P: np.ndarray, alpha: float) -> np.ndarray
     if P.ndim != ds.y.ndim + 1 or P.shape[:-1] != ds.y.shape:
         raise DimensionMismatchError(
             f"P has shape {P.shape}, expected {ds.y.shape} + (m,)")
-    s = P.sum(axis=-1)
-    X, y = ds.X, ds.y
-    lone = X.ndim == 2
-    if lone:
-        X, y, s = X[None], y[None], s[None]
-    k, n, d = X.shape
+    lone = isinstance(ds, Dataset)
+    stack = FoldStack.of(ds) if lone else ds
+    s = P.sum(axis=-1).reshape(stack.y.shape)
+    k, n, d = stack.X.shape
     rows = gram_block_rows(d)
     A = np.zeros((k, d, d))
     b = np.zeros((k, d, 1))
     buf = np.empty((k, min(rows, n), d))
-    for start in range(0, n, rows):
-        Xc = X[:, start:start + rows]
-        Xs = np.multiply(Xc, s[:, start:start + rows, None], out=buf[:, :Xc.shape[1]])
-        A += Xc.transpose(0, 2, 1) @ Xs
-        b += Xs.transpose(0, 2, 1) @ y[:, start:start + rows, None]
+    for folds, count in stack.runs:
+        X, y, sf = stack.X[folds, :count], stack.y[folds, :count], s[folds, :count]
+        for start in range(0, count, rows):
+            Xc = X[:, start:start + rows]
+            Xs = np.multiply(Xc, sf[:, start:start + rows, None],
+                             out=buf[:Xc.shape[0], :Xc.shape[1]])
+            A[folds] += Xc.transpose(0, 2, 1) @ Xs
+            b[folds] += Xs.transpose(0, 2, 1) @ y[:, start:start + rows, None]
     bad = ~(np.all(np.isfinite(A), axis=(1, 2)) & np.all(np.isfinite(b), axis=(1, 2)))
     A[bad], b[bad] = 0.0, 0.0
     A = 0.5 * (A + A.transpose(0, 2, 1))  # BLAS rounding can leave ~1 ulp asymmetry
@@ -173,12 +188,18 @@ def update_w(ds: Dataset | FoldStack, P: np.ndarray, alpha: float) -> np.ndarray
     return w[0] if lone else w
 
 
-def objective(ensemble: EnsembleSpec, e):
+def objective(ensemble: EnsembleSpec, e, stack: FoldStack | None = None):
     """Pooled (unweighted) empirical risk ``sum_i sum_k phi_k(e_i)`` of the
     residuals ``e`` (see :func:`residuals`); ``inf`` once the sum overflows.
-    A float for residuals (n,), one risk per fold for a stack's (k, rows)."""
+    A float for residuals (n,), one risk per row for (k, rows); for the
+    residuals of ``stack``, one risk per fold over the fold's own rows."""
     e = np.asarray(e, dtype=float)
-    risk = sum(np.sum(phi(spec, e), axis=-1) for spec in ensemble.losses)
+    runs = [(Ellipsis, e.shape[-1])] if stack is None else stack.runs
+    risk = np.zeros(e.shape[:-1])
+    for spec in ensemble.losses:  # one loss's terms alive at a time
+        terms = phi(spec, e)
+        for folds, count in runs:
+            risk[folds] += np.sum(terms[folds, :count], axis=-1)
     return float(risk) if e.ndim == 1 else risk
 
 
@@ -199,12 +220,8 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
     trace records the risk after every w-step; it is non-increasing.
     Ensemble weights come from the fold's final P.
 
-    A fold of ``rows`` real rows runs a lone :func:`fit`'s arithmetic.  A
-    padded fold's zero rows add exact zeros, but numpy's pairwise sums
-    (and BLAS blocking) split a longer row differently, so its risks agree
-    with a lone fit's to about 1e-15 relative, not bit for bit.  Its ``w``
-    and iteration count then match a lone fit's unless a risk decrease
-    lies within rounding of the ``rel_tol`` threshold.
+    Every sum runs over a fold's own rows, so each fold gives a lone
+    :func:`fit`'s ``w``, trace and ensemble weights bit for bit.
 
     Raises
     ------
@@ -250,7 +267,7 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
             P = update_p(ensemble, e)
             w_next = update_w(stack, P, config.alpha)
             e_next = residuals(w_next, stack)
-            risk = objective(ensemble, e_next)
+            risk = objective(ensemble, e_next, stack)
             finite = np.isfinite(risk) & np.all(np.isfinite(w_next), axis=1)
             for j in np.flatnonzero(active & ~finite):
                 errors[j] = NonFiniteObjectiveError(
@@ -336,7 +353,7 @@ def decrease_ratio(trace: SolverTrace, early: int = 10, final: int = 30) -> floa
 
 # --- model (de)serialization ------------------------------------------------
 
-def model_to_dict(model: RelfModel, preprocessing: dict | None = None) -> dict:
+def model_to_dict(model: RelfModel) -> dict:
     """JSON-ready representation of a fitted model."""
     return {
         "schema": MODEL_SCHEMA,
@@ -344,126 +361,59 @@ def model_to_dict(model: RelfModel, preprocessing: dict | None = None) -> dict:
         "loss_weights": [float(v) for v in model.loss_weights],
         "ensemble": [{"kind": s.kind, "scale": float(s.scale)}
                      for s in model.ensemble.losses],
-        "config": {
-            "alpha": model.config.alpha,
-            "max_iters": model.config.max_iters,
-            "rel_tol": model.config.rel_tol,
-            "init": model.config.init,
-            "init_seed": model.config.init_seed,
-            "init_std": model.config.init_std,
-        },
+        "config": asdict(model.config),
         "trace": None if model.trace is None else {
             "risks": [float(v) for v in model.trace.risks],
             "max_steps": [float(v) for v in model.trace.max_steps],
             "iterations": model.trace.iterations,
             "converged": model.trace.converged,
         },
-        "preprocessing": preprocessing or {"intercept": False, "scaler": None},
+        "preprocessing": model.preprocessing.to_dict(),
     }
 
 
-def model_from_dict(payload: dict) -> tuple[RelfModel, dict]:
-    """Inverse of :func:`model_to_dict`; returns (model, preprocessing).
+def model_from_dict(payload: dict) -> RelfModel:
+    """Inverse of :func:`model_to_dict`.
 
     Raises :class:`RelfError` for a payload that :func:`model_to_dict`
     could not have written: a missing key, a value of the wrong type, a
     non-finite number, an invalid ensemble or config, or a ``w`` whose
-    length disagrees with the scaler width plus the intercept.
+    length disagrees with the scaler width plus the intercept.  A missing
+    or empty ``preprocessing`` is the identity.
     """
     if not isinstance(payload, dict):
         raise RelfError("model JSON must be an object")
     if payload.get("schema") != MODEL_SCHEMA:
         raise RelfError(f"unsupported model schema {payload.get('schema')!r}")
     ensemble = EnsembleSpec(tuple(
-        LossSpec(kind=_field(e, "kind", str, "model loss"),
-                 scale=float(_field(e, "scale", float, "model loss")))
-        for e in _field(payload, "ensemble", list, "model")))
+        LossSpec(kind=json_field(e, "kind", str, "model loss"),
+                 scale=float(json_field(e, "scale", float, "model loss")))
+        for e in json_field(payload, "ensemble", list, "model")))
     validate_ensemble(ensemble)
-    cfg = _field(payload, "config", dict, "model")
-    config = SolverConfig(**{name: _field(cfg, name, kind, "model config")
-                             for name, kind in get_type_hints(SolverConfig).items()})
-    config.validate()
-    w = _numbers(payload, "w", "model")
-    loss_weights = _numbers(payload, "loss_weights", "model")
+    config = SolverConfig.from_dict(json_field(payload, "config", dict, "model"),
+                                    "model config")
+    w = json_numbers(payload, "w", "model")
+    loss_weights = json_numbers(payload, "loss_weights", "model")
     if loss_weights.shape != (ensemble.m,):
         raise RelfError(f"model has {loss_weights.shape[0]} loss weights "
                         f"for {ensemble.m} losses")
     tr = payload.get("trace")
     trace = None if tr is None else SolverTrace(
-        risks=_numbers(tr, "risks", "model trace"),
-        max_steps=_numbers(tr, "max_steps", "model trace"),
-        iterations=_field(tr, "iterations", int, "model trace"),
-        converged=_field(tr, "converged", bool, "model trace"),
+        risks=json_numbers(tr, "risks", "model trace"),
+        max_steps=json_numbers(tr, "max_steps", "model trace"),
+        iterations=json_field(tr, "iterations", int, "model trace"),
+        converged=json_field(tr, "converged", bool, "model trace"),
     )
-    preprocessing = payload.get("preprocessing") or {"intercept": False, "scaler": None}
-    _check_preprocessing(preprocessing, w.shape[0])
-    model = RelfModel(w=w, loss_weights=loss_weights, ensemble=ensemble,
-                      config=config, trace=trace)
-    return model, preprocessing
+    preprocessing = Preprocessing.from_dict(payload.get("preprocessing") or {}, w.shape[0])
+    return RelfModel(w=w, loss_weights=loss_weights, ensemble=ensemble,
+                     config=config, trace=trace, preprocessing=preprocessing)
 
 
-_KIND_NAMES = {str: "a string", bool: "a boolean", int: "an integer",
-               float: "a finite number", list: "a list", dict: "an object"}
-
-
-def _conforms(value, kind: type) -> bool:
-    """JSON typing: ``float`` takes any finite number, and a boolean is no
-    ``int``."""
-    if kind in (int, float) and isinstance(value, bool):
-        return False
-    if kind is float:
-        try:
-            return isinstance(value, (int, float)) and math.isfinite(value)
-        except OverflowError:  # an int beyond the float range
-            return False
-    return isinstance(value, kind)
-
-
-def _field(obj, key: str, kind: type, where: str):
-    """``obj[key]`` if ``obj`` is a JSON object whose ``key`` holds a
-    ``kind`` value; :class:`RelfError` otherwise."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise RelfError(f"{where} lacks {key!r}")
-    if not _conforms(obj[key], kind):
-        raise RelfError(f"{where} {key!r} must be {_KIND_NAMES[kind]}")
-    return obj[key]
-
-
-def _numbers(obj, key: str, where: str) -> np.ndarray:
-    values = _field(obj, key, list, where)
-    if not all(_conforms(v, float) for v in values):
-        raise RelfError(f"{where} {key!r} must be a list of finite numbers")
-    return np.asarray(values, dtype=float)
-
-
-def _check_preprocessing(preprocessing, width: int) -> None:
-    if not isinstance(preprocessing, dict):
-        raise RelfError("model 'preprocessing' must be an object")
-    intercept = preprocessing.get("intercept", False)
-    if not isinstance(intercept, bool):
-        raise RelfError("model preprocessing 'intercept' must be a boolean")
-    scaler = preprocessing.get("scaler")
-    if scaler is None:
-        return
-    lo = _numbers(scaler, "feature_min", "model scaler")
-    hi = _numbers(scaler, "feature_max", "model scaler")
-    if lo.shape != hi.shape:
-        raise RelfError(f"model scaler has {lo.shape[0]} minima and {hi.shape[0]} maxima")
-    if width != lo.shape[0] + intercept:
-        raise RelfError(f"model has {width} weights, but its preprocessing "
-                        f"yields {lo.shape[0] + intercept} columns")
-
-
-def save_model(model: RelfModel, path, preprocessing: dict | None = None) -> None:
+def save_model(model: RelfModel, path) -> None:
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model, preprocessing), fh, indent=2, sort_keys=True)
+        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_model(path) -> tuple[RelfModel, dict]:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise DataIOError.undecodable(path, exc) from None
-    return model_from_dict(payload)
+def load_model(path) -> RelfModel:
+    return model_from_dict(load_json(path, "model"))

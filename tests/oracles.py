@@ -159,7 +159,9 @@ def per_fold_cross_validate(ds, method, cv=None, *, contamination=None,
     """The k-fold contamination protocol one fold at a time: every fold gets
     its own ``Dataset``s, its own scaler and its own fit.  Returns
     ``(fold_mae, fold_rmse)``."""
-    from relf.data import add_intercept, apply_scaler, fit_scaler, inject_outliers, with_seed
+    from dataclasses import replace
+
+    from relf.data import add_intercept, apply_scaler, fit_scaler, inject_outliers
     from relf.evaluation import (CvConfig, RelfMethod, derive_seed, kfold_split, mae,
                                  ols_fit, rmse)
     from relf.solver import fit
@@ -168,8 +170,8 @@ def per_fold_cross_validate(ds, method, cv=None, *, contamination=None,
     for fold_idx, (tr, te) in enumerate(kfold_split(ds.n, cv or CvConfig())):
         train, test = ds.take(tr), ds.take(te)
         if contamination is not None and contamination.outlier_fraction > 0:
-            noise = with_seed(contamination,
-                              derive_seed(contamination.seed, *seed_keys, fold_idx))
+            noise = replace(contamination,
+                            seed=derive_seed(contamination.seed, *seed_keys, fold_idx))
             train = inject_outliers(train, noise)
         if scale_features:
             state = fit_scaler(train)

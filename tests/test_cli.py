@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,14 @@ class TestFitCommand:
         payload = json.loads(model_path.read_text())
         assert payload["schema"] == "relf.model/1"
         assert payload["preprocessing"]["intercept"] is True
+
+    def test_scale_column_spanning_the_float_range(self, tmp_path, capsys):
+        data = tmp_path / "wide.csv"
+        data.write_text("x,y\n-1.7e308,1\n1.7e308,2\n0,3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", "--data", str(data), "--label-column", "y", "--scale"])
+        assert code == 0, capsys.readouterr().err
 
     def test_fit_libsvm(self, tmp_path, capsys):
         libsvm = tmp_path / "toy.svm"
@@ -195,7 +204,7 @@ class TestPredictCommand:
             argv += ["--data", str(feats)]
         assert main(argv) == 0
         capsys.readouterr()
-        model, _ = load_model(model_path)
+        model = load_model(model_path)
         yhat = predict(model, np.hstack([ds.X, np.ones((ds.n, 1))]))
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
@@ -210,6 +219,7 @@ class TestPredictCommand:
         (lambda m: m.pop("config"), "lacks 'config'"),
         (lambda m: m["config"].pop("alpha"), "lacks 'alpha'"),
         (lambda m: m["config"].update(max_iters="30"), "'max_iters' must be an integer"),
+        (lambda m: m["config"].update(max_iter=1), "model config has unknown key 'max_iter'"),
         (lambda m: m.update(w="0.5"), "'w' must be a list"),
         (lambda m: m.update(w=[1.0, None]), "'w' must be a list of finite numbers"),
         (lambda m: m.update(loss_weights=[1.0]), "1 loss weights for 3 losses"),
@@ -294,6 +304,10 @@ class TestBenchCommand:
         ({"datasets": [5]}, "every dataset entry needs a 'name' string"),
         ({"methods": [5]}, "manifest methods must be strings"),
         ({"outlier_magnitude": "big"}, "'outlier_magnitude' must be a number"),
+        ({"solver": {"max_iter": 1}}, "manifest solver has unknown key 'max_iter'"),
+        ({"solver": {"alpha": "x"}}, "manifest solver 'alpha' must be a finite number"),
+        ({"solver": {"max_iters": 2.5}}, "manifest solver 'max_iters' must be an integer"),
+        ({"solver": {"init_std": True}}, "manifest solver 'init_std' must be a finite number"),
     ])
     def test_bench_malformed_manifest(self, tmp_path, capsys, manifest, message):
         path = tmp_path / "manifest.json"

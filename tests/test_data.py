@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,7 +18,7 @@ from relf import (
     save_libsvm,
     synth_line,
 )
-from relf.data import NOISE_GAUSSIAN, NOISE_OUTLIER
+from relf.data import NOISE_GAUSSIAN, NOISE_OUTLIER, minmax_map
 from relf.exceptions import (
     DataError,
     DataIOError,
@@ -315,6 +317,31 @@ class TestScaler:
         assert np.all(out.X >= -1.0) and np.all(out.X <= 1.0)
         assert_allclose(out.X.min(axis=0), -1.0)
         assert_allclose(out.X.max(axis=0), 1.0)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_any_finite_column_maps_into_the_unit_interval(self, column):
+        values = np.array(column)
+        lo, hi = values.min(), values.max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = minmax_map(values, lo, hi)
+        assert np.all(np.isfinite(out)) and np.all(np.abs(out) <= 1.0)
+        if hi / 2 > lo / 2:
+            assert np.all(out[values == lo] == -1.0) and np.all(out[values == hi] == 1.0)
+        # halving is exact from twice the smallest normal up, so wherever
+        # 2 (hi - lo) is finite these are the bits of -1 + 2 (v - lo) / (hi - lo)
+        exact = (values == 0) | (np.abs(values) >= 2.0**-1021)
+        with np.errstate(over="ignore"):
+            span = hi - lo
+            doubled = 2.0 * span
+        if np.isfinite(doubled) and span > 0 and np.all(exact):
+            ref = values - lo
+            ref *= 2.0
+            ref /= span
+            ref += -1.0
+            assert np.array_equal(out, ref)
 
     def test_width_mismatch(self):
         ds = Dataset(X=[[0.0, 1.0]], y=[0.0])

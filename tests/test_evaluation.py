@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,34 @@ def _close(a, b, rtol):
     return np.all(np.abs(a - b) <= rtol * np.abs(b))
 
 
+def _oracle_case(n_folds, extra, d, constant, method, level, flags, seed, label_scale):
+    """``(stacked, oracle)``: the fold MAE/RMSE of ``cross_validate`` and of
+    ``per_fold_cross_validate`` on one drawn design; if the oracle raises a
+    :class:`RelfError`, the stacked path must raise its type, and None is
+    returned."""
+    n = min(n_folds + extra, 80)  # often not a multiple of the fold count
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-5.0, 5.0, size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+    X[:, np.asarray(constant[:d])] = 3.0
+    y = label_scale * (X @ rng.standard_normal(d) + rng.standard_normal(n))
+    ds = Dataset(X=X, y=y)
+    cv = CvConfig(folds=n_folds, seed=seed)
+    prep = dict(scale_features=flags[0], intercept=flags[1])
+    contamination = NoiseConfig(mode=NOISE_OUTLIER, outlier_fraction=level,
+                                outlier_magnitude=5.0, seed=seed)
+    m = parse_method(method)
+    kwargs = dict(contamination=contamination, seed_keys=(1, 2))
+    try:
+        ref = per_fold_cross_validate(ds, m, cv, **prep, **kwargs)
+    except RelfError as exc:
+        with pytest.raises(type(exc)):
+            cross_validate(cv_folds(ds, cv, **prep), m, **kwargs)
+        return None
+    res = cross_validate(cv_folds(ds, cv, **prep), m, **kwargs)
+    assert res.method == m.label
+    return (res.fold_mae, res.fold_rmse), ref
+
+
 class TestStackedCrossValidate:
     """The stacked ``cross_validate`` against the fold-by-fold loop in
     ``oracles.per_fold_cross_validate``."""
@@ -241,31 +270,25 @@ class TestStackedCrossValidate:
               suppress_health_check=[HealthCheck.too_slow])
     def test_matches_per_fold_oracle(self, n_folds, extra, d, constant, method,
                                      level, flags, seed, label_scale):
-        n = min(n_folds + extra, 80)  # often not a multiple of the fold count
-        rng = np.random.default_rng(seed)
-        X = rng.uniform(-5.0, 5.0, size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
-        X[:, np.asarray(constant[:d])] = 3.0
-        y = label_scale * (X @ rng.standard_normal(d) + rng.standard_normal(n))
-        ds = Dataset(X=X, y=y)
-        cv = CvConfig(folds=n_folds, seed=seed)
-        scale_features, intercept = flags
-        contamination = NoiseConfig(mode=NOISE_OUTLIER, outlier_fraction=level,
-                                    outlier_magnitude=5.0, seed=seed)
-        m = parse_method(method)
-        kwargs = dict(contamination=contamination, seed_keys=(1, 2))
-        try:
-            ref = per_fold_cross_validate(ds, m, cv, scale_features=scale_features,
-                                          intercept=intercept, **kwargs)
-        except RelfError as exc:
-            with pytest.raises(type(exc)):
-                cross_validate(cv_folds(ds, cv, scale_features=scale_features,
-                                        intercept=intercept), m, **kwargs)
-            return
-        res = cross_validate(cv_folds(ds, cv, scale_features=scale_features,
-                                      intercept=intercept), m, **kwargs)
-        assert res.method == m.label
-        assert _close(res.fold_mae, ref[0], 1e-9)
-        assert _close(res.fold_rmse, ref[1], 1e-9)
+        out = _oracle_case(n_folds, extra, d, constant, method, level, flags, seed,
+                           label_scale)
+        if out is not None:
+            (fold_mae, fold_rmse), ref = out
+            assert _close(fold_mae, ref[0], 1e-9)
+            assert _close(fold_rmse, ref[1], 1e-9)
+
+    @pytest.mark.parametrize("seed, constant, label_scale", [
+        (5, [False, False, False, True, False, False], 1.0),
+        (6671, [False] * 6, 100.0),
+    ])
+    def test_padded_fold_matches_oracle_bit_for_bit(self, seed, constant, label_scale):
+        # 7 rows in 2 folds: fold 0 trains on 3 rows of 6 columns, padded to
+        # 4, and cond(A + 1e-8 I) is about 6e8, so a Gram summed over the
+        # padding moved its MAE by 5.7e-8 and 2.3e-8 relative
+        (fold_mae, fold_rmse), ref = _oracle_case(
+            2, 5, 5, constant, "ols", 0.0, (True, True), seed, label_scale)
+        assert np.array_equal(fold_mae, ref[0])
+        assert np.array_equal(fold_rmse, ref[1])
 
     def test_failing_inputs_raise_the_oracles_error(self):
         ds = synth_line()
@@ -301,10 +324,12 @@ class TestStackedCrossValidate:
             per_fold_cross_validate(ds, method, cv, contamination=noise,
                                     scale_features=False, intercept=False)
         # stacked, every fold is contaminated before any fold is fitted; the
-        # label range overflows on the way
-        with np.errstate(over="ignore"), pytest.raises(DataError, match="NaN/Inf"):
-            cross_validate(cv_folds(ds, cv, scale_features=False, intercept=False),
-                           method, contamination=noise)
+        # overflow is named, and numpy does not warn on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="overflow the float range"):
+                cross_validate(cv_folds(ds, cv, scale_features=False, intercept=False),
+                               method, contamination=noise)
 
     def test_folds_stop_at_their_own_iteration(self):
         # fold sizes 17 and 16 (padding), and folds that converge apart
@@ -324,7 +349,7 @@ class TestStackedCrossValidate:
             assert models[j].trace.iterations == lone.trace.iterations
             assert models[j].trace.converged == lone.trace.converged
             assert np.array_equal(models[j].w, lone.w)
-            assert_allclose(models[j].trace.risks, lone.trace.risks, rtol=1e-14, atol=0)
+            assert np.array_equal(models[j].trace.risks, lone.trace.risks)
             assert np.array_equal(models[j].loss_weights, lone.loss_weights)
 
     def test_padding_rows_are_zero(self):

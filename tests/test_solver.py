@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from relf import (
     FoldStack,
     LossSpec,
     NoiseConfig,
+    Preprocessing,
     RelfModel,
+    ScalerState,
     SolverConfig,
     SolverTrace,
     decrease_ratio,
@@ -485,19 +488,20 @@ class TestDecreaseRatio:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         ds = synth_line(NoiseConfig(mode=NOISE_GAUSSIAN, seed=1))
-        model = fit(ds, parse_ensemble("welsch:1.5,l1l2"))
-        preprocessing = {"intercept": False,
-                         "scaler": {"feature_min": [-20.0], "feature_max": [20.0]}}
+        preprocessing = Preprocessing(ScalerState(np.array([-20.0]), np.array([20.0])),
+                                      intercept=False)
+        model = replace(fit(ds, parse_ensemble("welsch:1.5,l1l2")),
+                        preprocessing=preprocessing)
         path = tmp_path / "model.json"
-        save_model(model, path, preprocessing)
-        back, prep = load_model(path)
+        save_model(model, path)
+        back = load_model(path)
         assert np.array_equal(back.w, model.w)
         assert np.array_equal(back.loss_weights, model.loss_weights)
         assert back.ensemble == model.ensemble
         assert back.config == model.config
         assert np.array_equal(back.trace.risks, model.trace.risks)
         assert back.trace.converged == model.trace.converged
-        assert prep == preprocessing
+        assert back.preprocessing == model.preprocessing
 
     def test_bad_schema(self, tmp_path):
         path = tmp_path / "m.json"
