@@ -19,6 +19,7 @@ from relf import (
     increase_ratio,
     parse_ensemble,
     synth_line,
+    train_labels,
 )
 from relf.data import NOISE_GAUSSIAN, NOISE_OUTLIER
 
@@ -35,8 +36,9 @@ for level in (0.1, 0.3):
     contamination = NoiseConfig(mode=NOISE_OUTLIER, outlier_fraction=level,
                                 outlier_magnitude=5.0, seed=0)
     for method in methods:
-        clean = cross_validate(folds, method)
-        dirty = cross_validate(folds, method, contamination=contamination)
+        # both levels' folds fitted in one call
+        clean, dirty = cross_validate(
+            folds, method, [folds.train.y, train_labels(folds, contamination)])
         ratio = increase_ratio(dirty.mean_mae, clean.mean_mae)
         print(f"{method.label:<6} {clean.mean_mae:10.4f} "
               f"{dirty.mean_mae:10.4f} {ratio:9.4f}   "

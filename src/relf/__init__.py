@@ -90,6 +90,7 @@ from .evaluation import (
     parse_method,
     rmse,
     run_benchmark,
+    train_labels,
 )
 
 __version__ = "0.1.0"

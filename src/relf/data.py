@@ -474,14 +474,23 @@ def minmax_map(values, lo, hi):
 
     Halving first keeps every step finite for values in ``[lo, hi]``.  It
     is exact from twice the smallest normal up, where the result has the
-    bits of ``-1 + 2 (values - lo) / (hi - lo)``."""
+    bits of ``-1 + 2 (values - lo) / (hi - lo)``.  A finite value far
+    enough outside a narrow ``[lo, hi]`` maps past the float range, and
+    raises :class:`DataError`."""
     span = hi / 2 - lo / 2
-    out = values / 2  # then in place, on one array of the result's size
-    out -= lo / 2
-    out /= np.where(span > 0, span, 1.0)
-    out *= 2.0
+    with np.errstate(over="ignore"):  # an overflow is named below
+        out = values / 2  # then in place, on one array of the result's size
+        out -= lo / 2
+        out /= np.where(span > 0, span, 1.0)
+        out *= 2.0
     out += -1.0
     np.copyto(out, 0.0, where=~(span > 0))
+    bad = np.isinf(out) & np.isfinite(values)
+    if bad.any():
+        i = tuple(np.argwhere(bad)[0])
+        lo_i, hi_i = (float(np.broadcast_to(a, out.shape)[i]) for a in (lo, hi))
+        raise DataError(f"scaling {float(values[i])!r} by the training range "
+                        f"[{lo_i!r}, {hi_i!r}] overflows the float range")
     return out
 
 

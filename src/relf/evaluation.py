@@ -278,36 +278,44 @@ def _finish_stack(stack: FoldStack, pad: np.ndarray, intercept: bool) -> FoldSta
     return replace(stack, X=X, y=y)
 
 
-def cross_validate(folds: CvFolds, method, *, contamination: NoiseConfig | None = None,
-                   seed_keys=()) -> CvResult:
-    """k-fold evaluation of one method under the contamination protocol.
-
-    ``method.fold_weights`` fits all folds of ``folds.train`` at once.  If
-    ``contamination`` is given (mode ``"outlier"``), each training fold is
-    contaminated with a per-fold seed derived from ``(contamination.seed,
-    *seed_keys, fold_index)``; test folds are never touched, and the fold
-    split itself is independent of contamination, so clean/contaminated
-    runs compare like for like.
-
-    A contaminated label that overflows, in any fold, raises
-    :class:`DataError` before any fold is fitted, so it takes precedence
-    over every fold's fit error; :func:`fit_folds` orders those.
-    """
+def train_labels(folds: CvFolds, contamination: NoiseConfig | None = None,
+                 seed_keys=()) -> np.ndarray:
+    """The (k, rows) training labels of ``folds`` for :func:`cross_validate`:
+    the clean ones, or, under ``contamination`` (mode ``"outlier"``), each
+    fold's contaminated with a seed derived from ``(contamination.seed,
+    *seed_keys, fold_index)``; :class:`DataError` if one overflows."""
     train = folds.train
-    if contamination is not None and contamination.outlier_fraction > 0:
-        y = np.zeros_like(train.y)
-        for j, m in enumerate(train.counts):
-            noise = replace(contamination,
-                            seed=derive_seed(contamination.seed, *seed_keys, j))
-            y[j, :m] = displace_labels(train.y[j, :m], noise)
-        train = replace(train, y=y)
-    w = method.fold_weights(train)
-    test = folds.test
-    pred = (test.X @ w[..., None])[..., 0]
-    fold_mae = [mae(test.y[j, :m], pred[j, :m]) for j, m in enumerate(test.counts)]
-    fold_rmse = [rmse(test.y[j, :m], pred[j, :m]) for j, m in enumerate(test.counts)]
-    return CvResult(method=method.label, fold_mae=np.asarray(fold_mae),
-                    fold_rmse=np.asarray(fold_rmse))
+    if contamination is None or contamination.outlier_fraction == 0:
+        return train.y
+    y = np.zeros_like(train.y)
+    for j, m in enumerate(train.counts):
+        noise = replace(contamination, seed=derive_seed(contamination.seed, *seed_keys, j))
+        y[j, :m] = displace_labels(train.y[j, :m], noise)
+    return y
+
+
+def cross_validate(folds: CvFolds, method, labels=None) -> list[CvResult]:
+    """k-fold evaluation of one method, one :class:`CvResult` per entry of
+    ``labels``: (k, rows) training labels, one stack per contamination
+    level (see :func:`train_labels`); by default the clean labels alone.
+
+    Test folds are never touched, and the fold split is the same for every
+    level, so clean/contaminated runs compare like for like.  The L levels'
+    folds are fitted in one ``method.fold_weights`` call on an (L*k, rows,
+    d) stack; every fold sums over its own rows, so each gives the fit of
+    a lone level bit for bit.  :func:`fit_folds` orders the fit errors.
+    """
+    labels = [folds.train.y] if labels is None else list(labels)
+    train, test = folds.train, folds.test
+    stack = FoldStack(np.concatenate([train.X] * len(labels)), np.concatenate(labels),
+                      np.tile(train.counts, len(labels)))
+    w = method.fold_weights(stack).reshape(len(labels), train.k, -1)
+    err = test.y - (test.X @ w[..., None])[..., 0]
+    fold_mae, fold_rmse = np.empty(w.shape[:2]), np.empty(w.shape[:2])
+    for run, count in test.runs:  # the mae/rmse of each fold's own rows
+        fold_mae[:, run] = np.mean(np.abs(err[:, run, :count]), axis=-1)
+        fold_rmse[:, run] = np.sqrt(np.mean(err[:, run, :count] ** 2, axis=-1))
+    return [CvResult(method.label, a, r) for a, r in zip(fold_mae, fold_rmse)]
 
 
 def increase_ratio(contaminated_mae: float, clean_mae: float) -> float:
@@ -472,31 +480,28 @@ def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
             load_error = None
         except Exception as exc:
             load_error = f"{type(exc).__name__}: {exc}"
+        # each level's training labels (or draw error), shared by every method
+        labels = []
+        for lvl_idx, level in enumerate(levels if methods and load_error is None else ()):
+            contamination = None if level == 0 else NoiseConfig(
+                mode=NOISE_OUTLIER, outlier_fraction=level,
+                outlier_magnitude=magnitude, seed=outlier_seed)
+            try:
+                labels.append(train_labels(folds, contamination, (ds_idx, lvl_idx)))
+            except Exception as exc:
+                labels.append({"error": f"{type(exc).__name__}: {exc}"})
+        drawn = [y for y in labels if not isinstance(y, dict)]
         for method in methods:
             if ds is not None and isinstance(method, RelfMethod):
                 convergence.append(
                     _convergence_report(ds, method, name, scale_features, intercept))
+            results = iter(_cv_cells(folds, method, drawn) if drawn else ())
             for lvl_idx, level in enumerate(levels):
-                cell = {
-                    "dataset": name, "method": method.label,
-                    "contamination": level, "error": load_error,
-                }
+                cell = {"dataset": name, "method": method.label,
+                        "contamination": level, "error": load_error}
                 if load_error is None:
-                    contamination = None if level == 0 else NoiseConfig(
-                        mode=NOISE_OUTLIER, outlier_fraction=level,
-                        outlier_magnitude=magnitude, seed=outlier_seed)
-                    t0 = time.perf_counter()
-                    try:
-                        res = cross_validate(folds, method, contamination=contamination,
-                                             seed_keys=(ds_idx, lvl_idx))
-                        cell.update(
-                            mae=res.mean_mae, rmse=res.mean_rmse,
-                            mae_std=res.std_mae, rmse_std=res.std_rmse,
-                            fold_mae=[float(v) for v in res.fold_mae],
-                            fold_rmse=[float(v) for v in res.fold_rmse],
-                            seconds=time.perf_counter() - t0)
-                    except Exception as exc:
-                        cell["error"] = f"{type(exc).__name__}: {exc}"
+                    y = labels[lvl_idx]
+                    cell.update(y if isinstance(y, dict) else next(results))
                 cells.append(cell)
 
     by_key = {(c["dataset"], c["method"], c["contamination"]): c for c in cells}
@@ -518,6 +523,24 @@ def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
 
     return EvalReport(manifest=manifest, cells=cells, ratios=ratios,
                       convergence=convergence)
+
+
+def _cv_cells(folds: CvFolds, method, labels) -> list[dict]:
+    """The cell fields of each level's :func:`cross_validate` result: all
+    levels in one call, whose time is shared out evenly, or, if it raises,
+    one level at a time, so that a failing cell names its own error."""
+    t0 = time.perf_counter()
+    try:
+        results = cross_validate(folds, method, labels)
+    except Exception as exc:
+        if len(labels) > 1:
+            return [cell for y in labels for cell in _cv_cells(folds, method, [y])]
+        return [{"error": f"{type(exc).__name__}: {exc}"}]
+    seconds = (time.perf_counter() - t0) / len(labels)
+    return [dict(mae=res.mean_mae, rmse=res.mean_rmse, mae_std=res.std_mae,
+                 rmse_std=res.std_rmse, fold_mae=[float(v) for v in res.fold_mae],
+                 fold_rmse=[float(v) for v in res.fold_rmse], seconds=seconds)
+            for res in results]
 
 
 def _convergence_report(ds: Dataset, method: RelfMethod, name: str,

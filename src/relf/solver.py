@@ -125,12 +125,11 @@ def residuals(w, ds: Dataset | FoldStack) -> np.ndarray:
     return ds.y - (ds.X @ w[..., None])[..., 0]
 
 
-def update_p(ensemble: EnsembleSpec, e) -> np.ndarray:
-    """P-step: the auxiliary weights ``p_ik = delta_k(e_i)``, with the
-    loss index ``k`` last: (n, m) for residuals (n,), (k, rows, m) for a
-    stack's (k, rows)."""
+def update_p(ensemble: EnsembleSpec, e) -> list[np.ndarray]:
+    """P-step: the auxiliary weights ``p_ik = delta_k(e_i)`` as the columns
+    of P, one array shaped like the residuals ``e`` per loss ``k``."""
     e = np.asarray(e, dtype=float)
-    return np.stack([delta(spec, e) for spec in ensemble.losses], axis=-1)
+    return [delta(spec, e) for spec in ensemble.losses]
 
 
 #: Elements in one weighted row block of the w-step (128 KiB of float64).
@@ -148,11 +147,11 @@ def gram_block_rows(d: int) -> int:
     return max(GRAM_BLOCK_ELEMS // max(d, 1), d)
 
 
-def update_w(ds: Dataset | FoldStack, P: np.ndarray, alpha: float) -> np.ndarray:
+def update_w(ds: Dataset | FoldStack, s, alpha: float) -> np.ndarray:
     """w-step: jittered weighted normal equations with ``s_i = sum_k p_ik``.
 
-    ``ds`` is a :class:`Dataset` with ``P`` (n, m), giving ``w`` (d,), or a
-    :class:`FoldStack` with ``P`` (k, rows, m), giving one ``w`` per fold.
+    ``ds`` is a :class:`Dataset` with ``s`` (n,), giving ``w`` (d,), or a
+    :class:`FoldStack` with ``s`` (k, rows), giving one ``w`` per fold.
     Per fold, ``A = X^T S X`` and ``b = X^T S y`` are summed over the
     fold's own rows (:attr:`FoldStack.runs`) in row blocks of
     :func:`gram_block_rows` rows, each weighted into one reused buffer, so
@@ -160,13 +159,12 @@ def update_w(ds: Dataset | FoldStack, P: np.ndarray, alpha: float) -> np.ndarray
     finite (features near the float range overflow the Gram) gets a NaN
     ``w``, which :func:`fit` reports as :class:`NonFiniteObjectiveError`.
     """
-    P = np.asarray(P, dtype=float)
-    if P.ndim != ds.y.ndim + 1 or P.shape[:-1] != ds.y.shape:
-        raise DimensionMismatchError(
-            f"P has shape {P.shape}, expected {ds.y.shape} + (m,)")
+    s = np.asarray(s, dtype=float)
+    if s.shape != ds.y.shape:
+        raise DimensionMismatchError(f"s has shape {s.shape}, expected {ds.y.shape}")
     lone = isinstance(ds, Dataset)
     stack = FoldStack.of(ds) if lone else ds
-    s = P.sum(axis=-1).reshape(stack.y.shape)
+    s = s.reshape(stack.y.shape)
     k, n, d = stack.X.shape
     rows = gram_block_rows(d)
     A = np.zeros((k, d, d))
@@ -220,6 +218,10 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
     trace records the risk after every w-step; it is non-increasing.
     Ensemble weights come from the fold's final P.
 
+    The w-step's ``s`` adds P's columns left to right, which gives the bits
+    of ``P.sum(axis=-1)`` for up to 7 losses (numpy sums fewer than 8 terms
+    in order); with 8 or more, ``s`` can differ from it in the last bit.
+
     Every sum runs over a fold's own rows, so each fold gives a lone
     :func:`fit`'s ``w``, trace and ensemble weights bit for bit.
 
@@ -253,9 +255,9 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
     weight_sums = {}  # fold -> (total, per-loss sums) of its final P
     errors = {}
 
-    def freeze(P, folds):  # keep what the models need of the final P
+    def freeze(cols, folds):  # keep what the models need of the final P
         for j in folds:
-            P_j = P[j, :stack.counts[j]]
+            P_j = np.stack([c[j, :stack.counts[j]] for c in cols], axis=-1)
             weight_sums[j] = (float(P_j.sum()), P_j.sum(axis=0))
 
     # a residual whose square overflows has the overflow's limit as its
@@ -264,8 +266,8 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
     with np.errstate(over="ignore"):
         e = residuals(w, stack)
         for it in range(1, config.max_iters + 1):
-            P = update_p(ensemble, e)
-            w_next = update_w(stack, P, config.alpha)
+            cols = update_p(ensemble, e)
+            w_next = update_w(stack, sum(cols[1:], cols[0]), config.alpha)
             e_next = residuals(w_next, stack)
             risk = objective(ensemble, e_next, stack)
             finite = np.isfinite(risk) & np.all(np.isfinite(w_next), axis=1)
@@ -285,11 +287,11 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
             # over, so no second residual array outlives the iteration
             w_next[~live], e_next[~live] = w[~live], e[~live]
             w, e = w_next, e_next
-            freeze(P, np.flatnonzero(live & converged))
+            freeze(cols, np.flatnonzero(live & converged))
             active = live & ~converged
             if not active.any():
                 break
-        freeze(P, np.flatnonzero(active))
+        freeze(cols, np.flatnonzero(active))
 
     models = []
     for j in range(stack.k):

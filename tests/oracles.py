@@ -128,7 +128,8 @@ def two_matvec_fit(ds, ensemble, config):
     risks = []
     for _ in range(config.max_iters):
         e = ds.y - ds.X @ w
-        w_next = update_w(ds, update_p(ensemble, e), config.alpha)
+        P = np.stack(update_p(ensemble, e), axis=-1)
+        w_next = update_w(ds, P.sum(axis=-1), config.alpha)
         e_next = ds.y - ds.X @ w_next
         risk = float(sum(np.sum(phi(spec, e_next)) for spec in ensemble.losses))
         done = bool(risks) and abs(risks[-1] - risk) <= config.rel_tol * max(1.0, risks[-1])
@@ -139,14 +140,15 @@ def two_matvec_fit(ds, ensemble, config):
     return w, np.asarray(risks)
 
 
-def full_gram_update_w(ds, P, alpha):
+def full_gram_update_w(ds, s, alpha):
     """The w-step with the whole weighted Gram in one product,
     ``A = X^T (X * s)``, through a full weighted copy of X; only the
     jittered solve is the library's.  Like ``update_w``, it takes a
-    ``Dataset`` or a ``FoldStack`` (one Gram per fold)."""
+    ``Dataset`` or a ``FoldStack`` (one Gram per fold) and the weight sums
+    ``s`` shaped like its labels."""
     from relf.linalg import solve_spd_with_jitter
 
-    s = np.asarray(P, dtype=float).sum(axis=-1)
+    s = np.asarray(s, dtype=float)
     Xs = ds.X * s[..., None]
     A = np.swapaxes(ds.X, -1, -2) @ Xs
     A = 0.5 * (A + np.swapaxes(A, -1, -2))

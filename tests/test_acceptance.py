@@ -34,6 +34,7 @@ from relf import (
     phi,
     rmse,
     synth_line,
+    train_labels,
     update_w,
 )
 from relf.data import NOISE_GAUSSIAN, NOISE_OUTLIER
@@ -166,8 +167,9 @@ def test_criterion_5_robustness_win_rate(capsys):
             cont = NoiseConfig(mode=NOISE_OUTLIER, outlier_fraction=0.3,
                                outlier_magnitude=5.0, seed=trial)
             folds = cv_folds(ds, cv, scale_features=False, intercept=False)
-            robust = cross_validate(folds, relf_method, contamination=cont)
-            plain = cross_validate(folds, ols_method, contamination=cont)
+            labels = [train_labels(folds, cont)]
+            (robust,) = cross_validate(folds, relf_method, labels)
+            (plain,) = cross_validate(folds, ols_method, labels)
             if robust.mean_mae < plain.mean_mae:
                 wins += 1
         elapsed = time.perf_counter() - t0
@@ -182,7 +184,7 @@ def test_criterion_6_kernel_equivalences(capsys):
             ds = _random_ds(50, 5, seed)
             ref = ols_oracle(ds.X, ds.y)
             for m in (1, 3):
-                w = update_w(ds, np.ones((ds.n, m)), 1e-12)
+                w = update_w(ds, np.ones((ds.n, m)).sum(axis=-1), 1e-12)
                 assert np.max(np.abs(w - ref)) <= 1e-6
         # (b) a single-loss ensemble is classical IRLS for that loss
         ds = _random_ds(100, 3, 21, outliers=True)

@@ -169,6 +169,23 @@ class TestPredictCommand:
         assert rows[0] == "prediction,label"
         assert len(rows) == 82
 
+    def test_value_scaled_past_the_float_range(self, tmp_path, capsys):
+        train = tmp_path / "narrow.csv"
+        train.write_text("x,y\n0,1\n5e-301,2\n1e-300,3\n")
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--data", str(train), "--label-column", "y", "--scale",
+                     "--output", str(model_path)]) == 0
+        far = tmp_path / "far.csv"
+        far.write_text("x\n1e10\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["predict", "--model", str(model_path), "--data", str(far)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: scaling 10000000000.0 by the training range [0.0, 1e-300] "
+            "overflows the float range\n")
+
     def test_label_free_csv(self, tmp_path, capsys):
         _, model_path = self._fit_model(tmp_path, capsys)
         feats = tmp_path / "xonly.csv"

@@ -31,6 +31,7 @@ from relf import (
     rmse,
     run_benchmark,
     synth_line,
+    train_labels,
 )
 from relf.data import NOISE_GAUSSIAN, NOISE_OUTLIER
 from relf.exceptions import (
@@ -164,44 +165,49 @@ class TestParseMethod:
             parse_method("ols:1")
 
 
+def _cv(folds, method, contamination=None, seed_keys=()):
+    """The :class:`CvResult` of one contamination level."""
+    (res,) = cross_validate(folds, method, [train_labels(folds, contamination, seed_keys)])
+    return res
+
+
 class TestCrossValidate:
     def test_noise_free_line_is_exact(self):
         folds = cv_folds(synth_line(), CvConfig(folds=5),
                          scale_features=False, intercept=False)
         for method in (LeastSquaresMethod(),
                        RelfMethod(ensemble=parse_ensemble("welsch,l1l2"))):
-            res = cross_validate(folds, method)
+            res = _cv(folds, method)
             assert np.all(res.fold_mae <= 1e-6)
 
     def test_constant_labels_with_intercept(self):
         rng = np.random.default_rng(2)
         ds = Dataset(X=rng.standard_normal((30, 2)), y=np.full(30, 7.0))
-        res = cross_validate(cv_folds(ds, CvConfig(folds=5), intercept=True),
-                             LeastSquaresMethod())
+        res = _cv(cv_folds(ds, CvConfig(folds=5), intercept=True), LeastSquaresMethod())
         assert res.mean_mae <= 1e-6
 
     def test_gaussian_toy_matches_noise_level(self):
         # held-out MAE approaches E|z| for the injected N(0,1) noise
         ds = synth_line(NoiseConfig(mode=NOISE_GAUSSIAN, gaussian_std=1.0, seed=4))
         method = RelfMethod(ensemble=parse_ensemble("welsch:1.5,l1l2"))
-        res = cross_validate(cv_folds(ds, CvConfig(folds=10, seed=4),
-                                      scale_features=False, intercept=False), method)
+        res = _cv(cv_folds(ds, CvConfig(folds=10, seed=4),
+                           scale_features=False, intercept=False), method)
         assert abs(res.mean_mae - mc_mean_abs_gaussian(1.0)) <= 0.15
 
     def test_deterministic(self):
         ds = synth_line(NoiseConfig(mode=NOISE_GAUSSIAN, seed=1))
         method = RelfMethod(ensemble=parse_ensemble("welsch,l1l2"))
         cont = NoiseConfig(mode=NOISE_OUTLIER, outlier_fraction=0.3, seed=5)
-        a = cross_validate(cv_folds(ds, CvConfig(folds=5)), method, contamination=cont)
-        b = cross_validate(cv_folds(ds, CvConfig(folds=5)), method, contamination=cont)
+        a = _cv(cv_folds(ds, CvConfig(folds=5)), method, contamination=cont)
+        b = _cv(cv_folds(ds, CvConfig(folds=5)), method, contamination=cont)
         assert np.array_equal(a.fold_mae, b.fold_mae)
 
     def test_zero_contamination_equals_clean(self):
         ds = synth_line(NoiseConfig(mode=NOISE_GAUSSIAN, seed=3))
         cont = NoiseConfig(mode=NOISE_OUTLIER, outlier_fraction=0.0, seed=5)
         folds = cv_folds(ds, CvConfig(folds=5))
-        clean = cross_validate(folds, LeastSquaresMethod())
-        dirty = cross_validate(folds, LeastSquaresMethod(), contamination=cont)
+        clean = _cv(folds, LeastSquaresMethod())
+        dirty = _cv(folds, LeastSquaresMethod(), contamination=cont)
         assert np.array_equal(clean.fold_mae, dirty.fold_mae)
 
     def test_contamination_hurts_ols(self):
@@ -209,8 +215,8 @@ class TestCrossValidate:
         cont = NoiseConfig(mode=NOISE_OUTLIER, outlier_fraction=0.3,
                            outlier_magnitude=5.0, seed=7)
         folds = cv_folds(ds, CvConfig(folds=5), scale_features=False, intercept=False)
-        clean = cross_validate(folds, LeastSquaresMethod())
-        dirty = cross_validate(folds, LeastSquaresMethod(), contamination=cont)
+        clean = _cv(folds, LeastSquaresMethod())
+        dirty = _cv(folds, LeastSquaresMethod(), contamination=cont)
         assert dirty.mean_mae > 2.0 * clean.mean_mae
 
 
@@ -223,11 +229,13 @@ def _close(a, b, rtol):
     return np.all(np.abs(a - b) <= rtol * np.abs(b))
 
 
-def _oracle_case(n_folds, extra, d, constant, method, level, flags, seed, label_scale):
-    """``(stacked, oracle)``: the fold MAE/RMSE of ``cross_validate`` and of
-    ``per_fold_cross_validate`` on one drawn design; if the oracle raises a
-    :class:`RelfError`, the stacked path must raise its type, and None is
-    returned."""
+def _oracle_case(n_folds, extra, d, constant, method, levels, flags, seed, label_scale):
+    """Per level of ``levels``, ``(stacked, single, oracle)``: the fold
+    MAE/RMSE of one ``cross_validate`` call over all levels, of a call over
+    that level alone, and of ``per_fold_cross_validate``, on one drawn
+    design.  If the oracle raises a :class:`RelfError` at a level, the
+    one-level path must raise its type and the stacked call must raise too,
+    and None is returned."""
     n = min(n_folds + extra, 80)  # often not a multiple of the fold count
     rng = np.random.default_rng(seed)
     X = rng.uniform(-5.0, 5.0, size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
@@ -236,46 +244,72 @@ def _oracle_case(n_folds, extra, d, constant, method, level, flags, seed, label_
     ds = Dataset(X=X, y=y)
     cv = CvConfig(folds=n_folds, seed=seed)
     prep = dict(scale_features=flags[0], intercept=flags[1])
-    contamination = NoiseConfig(mode=NOISE_OUTLIER, outlier_fraction=level,
-                                outlier_magnitude=5.0, seed=seed)
+    folds = cv_folds(ds, cv, **prep)
     m = parse_method(method)
-    kwargs = dict(contamination=contamination, seed_keys=(1, 2))
-    try:
-        ref = per_fold_cross_validate(ds, m, cv, **prep, **kwargs)
-    except RelfError as exc:
-        with pytest.raises(type(exc)):
-            cross_validate(cv_folds(ds, cv, **prep), m, **kwargs)
-        return None
-    res = cross_validate(cv_folds(ds, cv, **prep), m, **kwargs)
-    assert res.method == m.label
-    return (res.fold_mae, res.fold_rmse), ref
+    draws = [dict(contamination=NoiseConfig(mode=NOISE_OUTLIER, outlier_fraction=level,
+                                            outlier_magnitude=5.0, seed=seed),
+                  seed_keys=(1, 2 + i)) for i, level in enumerate(levels)]
+    refs = []
+    for kwargs in draws:
+        try:
+            refs.append(per_fold_cross_validate(ds, m, cv, **prep, **kwargs))
+        except RelfError as exc:
+            with pytest.raises(type(exc)):
+                _cv(folds, m, **kwargs)
+            with pytest.raises(RelfError):
+                cross_validate(folds, m, [train_labels(folds, **kw) for kw in draws])
+            return None
+    labels = [train_labels(folds, **kwargs) for kwargs in draws]
+    stacked = cross_validate(folds, m, labels)
+    single = stacked if len(labels) == 1 else [_cv(folds, m, **kw) for kw in draws]
+    assert all(res.method == m.label for res in stacked)
+    return [((a.fold_mae, a.fold_rmse), (b.fold_mae, b.fold_rmse), ref)
+            for a, b, ref in zip(stacked, single, refs)]
+
+
+# the draws of one design, shared by the stacked-CV properties
+_ORACLE_DRAWS = dict(
+    n_folds=st.integers(2, 10),
+    extra=st.integers(0, 70),
+    d=st.integers(1, 6),
+    constant=st.lists(st.booleans(), min_size=6, max_size=6),
+    method=st.sampled_from(ORACLE_METHODS),
+    flags=st.sampled_from(((True, True), (False, True), (True, False))),
+    seed=st.integers(0, 2**16),
+    label_scale=st.sampled_from((1.0, 100.0)),
+)
+_LEVELS = (0.0, 0.1, 0.25, 0.5)
 
 
 class TestStackedCrossValidate:
     """The stacked ``cross_validate`` against the fold-by-fold loop in
     ``oracles.per_fold_cross_validate``."""
 
-    @given(
-        n_folds=st.integers(2, 10),
-        extra=st.integers(0, 70),
-        d=st.integers(1, 6),
-        constant=st.lists(st.booleans(), min_size=6, max_size=6),
-        method=st.sampled_from(ORACLE_METHODS),
-        level=st.sampled_from((0.0, 0.1, 0.25, 0.5)),
-        flags=st.sampled_from(((True, True), (False, True), (True, False))),
-        seed=st.integers(0, 2**16),
-        label_scale=st.sampled_from((1.0, 100.0)),
-    )
+    @given(level=st.sampled_from(_LEVELS), **_ORACLE_DRAWS)
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_matches_per_fold_oracle(self, n_folds, extra, d, constant, method,
                                      level, flags, seed, label_scale):
-        out = _oracle_case(n_folds, extra, d, constant, method, level, flags, seed,
+        out = _oracle_case(n_folds, extra, d, constant, method, [level], flags, seed,
                            label_scale)
         if out is not None:
-            (fold_mae, fold_rmse), ref = out
+            [((fold_mae, fold_rmse), _, ref)] = out
             assert _close(fold_mae, ref[0], 1e-9)
             assert _close(fold_rmse, ref[1], 1e-9)
+
+    @given(levels=st.lists(st.sampled_from(_LEVELS), min_size=1, max_size=3),
+           **_ORACLE_DRAWS)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_stacked_levels_match_one_level_calls(self, n_folds, extra, d, constant,
+                                                  method, levels, flags, seed,
+                                                  label_scale):
+        out = _oracle_case(n_folds, extra, d, constant, method, levels, flags, seed,
+                           label_scale)
+        for stacked, single, ref in out or ():
+            for got, alone, want in zip(stacked, single, ref):
+                assert np.array_equal(got, alone)
+                assert _close(got, want, 1e-9)
 
     @pytest.mark.parametrize("seed, constant, label_scale", [
         (5, [False, False, False, True, False, False], 1.0),
@@ -285,8 +319,8 @@ class TestStackedCrossValidate:
         # 7 rows in 2 folds: fold 0 trains on 3 rows of 6 columns, padded to
         # 4, and cond(A + 1e-8 I) is about 6e8, so a Gram summed over the
         # padding moved its MAE by 5.7e-8 and 2.3e-8 relative
-        (fold_mae, fold_rmse), ref = _oracle_case(
-            2, 5, 5, constant, "ols", 0.0, (True, True), seed, label_scale)
+        [((fold_mae, fold_rmse), _, ref)] = _oracle_case(
+            2, 5, 5, constant, "ols", [0.0], (True, True), seed, label_scale)
         assert np.array_equal(fold_mae, ref[0])
         assert np.array_equal(fold_rmse, ref[1])
 
@@ -298,7 +332,7 @@ class TestStackedCrossValidate:
             with pytest.raises(error):
                 per_fold_cross_validate(ds, LeastSquaresMethod(), cv, contamination=cont)
             with pytest.raises(error):
-                cross_validate(cv_folds(ds, cv), LeastSquaresMethod(), contamination=cont)
+                _cv(cv_folds(ds, cv), LeastSquaresMethod(), contamination=cont)
         # only the last fold trains on labels all far enough out for welsch
         # to give every sample weight 0
         ds = Dataset(X=np.ones((40, 1)), y=np.where(np.arange(40) < 32, 1e4, 0.0))
@@ -307,7 +341,7 @@ class TestStackedCrossValidate:
         with pytest.raises(NonFiniteObjectiveError):
             per_fold_cross_validate(ds, method, cv, scale_features=False, intercept=False)
         with pytest.raises(NonFiniteObjectiveError):
-            cross_validate(cv_folds(ds, cv, scale_features=False, intercept=False), method)
+            _cv(cv_folds(ds, cv, scale_features=False, intercept=False), method)
 
     def test_contamination_error_precedes_every_fit_error(self):
         # fold 0 trains on labels all far enough out for welsch to give every
@@ -328,8 +362,8 @@ class TestStackedCrossValidate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="overflow the float range"):
-                cross_validate(cv_folds(ds, cv, scale_features=False, intercept=False),
-                               method, contamination=noise)
+                _cv(cv_folds(ds, cv, scale_features=False, intercept=False),
+                    method, contamination=noise)
 
     def test_folds_stop_at_their_own_iteration(self):
         # fold sizes 17 and 16 (padding), and folds that converge apart
@@ -351,6 +385,15 @@ class TestStackedCrossValidate:
             assert np.array_equal(models[j].w, lone.w)
             assert np.array_equal(models[j].trace.risks, lone.trace.risks)
             assert np.array_equal(models[j].loss_weights, lone.loss_weights)
+
+    def test_test_fold_scaled_past_the_float_range(self):
+        # the last fold trains on [0, 1e-300] and tests on 1e10
+        ds = Dataset(X=[[0.0], [1e-300], [0.0], [1e-300], [1e10]], y=np.arange(5.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"^scaling 10000000000\.0 by the training "
+                               r"range \[0\.0, 1e-300\] overflows the float range$"):
+                cv_folds(ds, CvConfig(folds=5, shuffle=False))
 
     def test_padding_rows_are_zero(self):
         ds = synth_line()
@@ -380,7 +423,52 @@ def _toy_manifest(tmp_path, extra_datasets=()):
     }
 
 
+def _isolation_manifest(tmp_path):
+    # 6 rows in 3 folds: 4 training rows each, so level 0.1 displaces no
+    # label and level 0.3 displaces one, by 1e300 times the label spread
+    for name, high in (("overflow", 1e10), ("nonfinite", 1.0)):
+        rows = [f"{i},{high if i % 2 else 0.0!r}" for i in range(1, 7)]
+        (tmp_path / f"{name}.csv").write_text("x,y\n" + "\n".join(rows) + "\n")
+    return {
+        "cv": {"folds": 3, "seed": 0},
+        "contamination_levels": [0.0, 0.1, 0.3],
+        "outlier_magnitude": 1e300,
+        "datasets": [
+            {"name": name, "format": "csv", "path": f"{name}.csv", "label_column": "y"}
+            for name in ("overflow", "nonfinite")
+        ],
+        "methods": ["relf", "irls:huber:0.5"],
+    }
+
+
 class TestRunBenchmark:
+    # the convergence report of the "overflow" set has a flat trace
+    @pytest.mark.filterwarnings("ignore::relf.exceptions.DegenerateTraceWarning")
+    def test_failing_level_leaves_the_other_cells_alone(self, tmp_path):
+        # a level that fails the stacked fit is fitted again on its own, so
+        # each cell keeps its numbers or names its own error
+        manifest = _isolation_manifest(tmp_path)
+        full = run_benchmark(manifest, base_dir=tmp_path)
+        ref = run_benchmark({**manifest, "contamination_levels": [0.0, 0.1]},
+                            base_dir=tmp_path)
+        want = {(c["dataset"], c["method"], c["contamination"]): c for c in ref.cells}
+        errors = {}
+        for cell in full.cells:
+            key = (cell["dataset"], cell["method"], cell["contamination"])
+            if key in want:
+                assert cell["error"] is None and want[key]["error"] is None, key
+                for field in ("mae", "rmse", "mae_std", "rmse_std", "fold_mae", "fold_rmse"):
+                    assert cell[field] == want[key][field], (key, field)
+            elif cell["error"] is not None:
+                errors[key] = cell["error"]
+        overflow = "DataError: displaced labels overflow the float range"
+        assert errors == {
+            ("overflow", "relf", 0.3): overflow,
+            ("overflow", "irls:huber:0.5", 0.3): overflow,
+            ("nonfinite", "relf", 0.3):
+                "NonFiniteObjectiveError: objective became non-finite at iteration 1",
+        }
+
     def test_grid_shape(self, tmp_path):
         report = run_benchmark(_toy_manifest(tmp_path), base_dir=tmp_path)
         assert len(report.cells) == 4  # 1 dataset x 2 methods x 2 levels

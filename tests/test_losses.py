@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from relf import (
@@ -21,7 +23,7 @@ from relf.exceptions import (
     NonPositiveScaleError,
     UnknownLossError,
 )
-from relf.losses import CONVEX_KINDS, KINDS, SCALED_KINDS
+from relf.losses import CONVEX_KINDS, HUBER, KINDS, SCALED_KINDS
 
 from oracles import central_diff, grid_argmin
 
@@ -144,6 +146,33 @@ class TestDelta:
         assert phi(LossSpec("welsch", 1.0), 1e6) <= 1.0
         for kind in CONVEX_KINDS:
             assert phi(LossSpec(kind, 1.0), 1e6) > 1e3
+
+
+class TestCatalogProperties:
+    """Every kind at scales 0.1..10 and residuals 1e-6 <= |e| <= 1e6."""
+
+    @given(kind=st.sampled_from(KINDS), scale=st.floats(0.1, 10.0),
+           log_e=st.floats(-6.0, 6.0), sign=st.sampled_from((-1.0, 1.0)))
+    @settings(max_examples=400, deadline=None)
+    def test_phi_delta_and_derivative(self, kind, scale, log_e, sign):
+        spec = LossSpec(kind, scale)
+        e = sign * 10.0 ** log_e
+        assert phi(spec, 0.0) == 0.0
+        assert phi(spec, e) >= 0.0
+        weight = delta(spec, e)
+        assert np.isfinite(weight) and 0.0 <= weight <= delta(spec, 0.0)
+        # e * delta(e) = phi'(e) against a central difference; huber's phi''
+        # jumps at |e| = 2s, where a central difference is first order only
+        h = max(1e-6 * abs(e), 1e-5)
+        assume(kind != HUBER or abs(abs(e) - 2.0 * scale) > 2.0 * h)
+        hi, lo = phi(spec, e + h), phi(spec, e - h)
+        step = (e + h) - (e - h)
+        slope = e * weight
+        # relative truncation error, plus phi's rounding over the step: about
+        # eps absolute where l1l2 and logcosh subtract 1 and log 2 (under
+        # 1e-9 as h >= 1e-5), about eps relative to phi elsewhere
+        tol = 1e-6 * abs(slope) + 1e-9 + 8.0 * np.finfo(float).eps * max(hi, lo) / step
+        assert abs((hi - lo) / step - slope) <= tol
 
 
 class TestValidation:

@@ -3,9 +3,12 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from relf import (
@@ -79,50 +82,49 @@ class TestResiduals:
 class TestUpdateP:
     def test_single_l1l2_at_zero(self):
         P = update_p(EnsembleSpec((LossSpec("l1l2"),)), [0.0])
-        assert_allclose(P, [[1.0]])
+        assert_allclose(P, [[1.0]])  # one column, one residual
 
     def test_two_losses_at_zero(self):
         ens = EnsembleSpec((LossSpec("welsch", SQRT_HALF), LossSpec("l1l2")))
-        assert_allclose(update_p(ens, [0.0]), [[4.0, 1.0]])
+        assert_allclose(update_p(ens, [0.0]), [[4.0], [1.0]])  # P's columns
 
     def test_welsch_downweights_large_residual(self):
         P = update_p(EnsembleSpec((LossSpec("welsch", 1.0),)), [100.0])
-        assert P[0, 0] <= 1e-12
+        assert P[0][0] <= 1e-12
 
     def test_shape(self):
         ens = parse_ensemble("welsch,l1l2,huber")
-        assert update_p(ens, np.zeros(7)).shape == (7, 3)
+        assert [c.shape for c in update_p(ens, np.zeros(7))] == [(7,)] * 3
 
 
 class TestUpdateW:
     def test_exact_line(self):
         ds = Dataset(X=[[1.0], [2.0]], y=[2.0, 4.0])
-        w = update_w(ds, np.ones((2, 1)), 1e-12)
+        w = update_w(ds, np.ones(2), 1e-12)
         assert_allclose(w, [2.0], rtol=1e-9)
 
     def test_downweighted_outlier_ignored(self):
         ds = Dataset(X=[[1.0], [1.0]], y=[2.0, 100.0])
-        P = np.array([[1.0], [1e-15]])
-        w = update_w(ds, P, 1e-8)
+        w = update_w(ds, np.array([1.0, 1e-15]), 1e-8)
         assert_allclose(w, [2.0], atol=1e-6)
 
     def test_scalar_formula(self):
         ds = Dataset(X=[[1.0]], y=[3.0])
-        w = update_w(ds, np.array([[2.0]]), 1e-8)
+        w = update_w(ds, np.array([2.0]), 1e-8)
         assert_allclose(w, [2.0 * 3.0 / (2.0 + 1e-8)], rtol=1e-12)
 
     def test_against_weighted_oracle(self):
         rng = np.random.default_rng(4)
         ds = _random_ds(40, 3, 4)
         s = rng.random(40) + 0.1
-        w = update_w(ds, s[:, None], 1e-10)
+        w = update_w(ds, s, 1e-10)
         assert_allclose(w, weighted_ls_oracle(ds.X, ds.y, s, 1e-10),
                         rtol=1e-8, atol=1e-10)
 
     def test_shape_guard(self):
         ds = Dataset(X=[[1.0]], y=[1.0])
         with pytest.raises(DimensionMismatchError):
-            update_w(ds, np.ones((3, 1)), 1e-8)
+            update_w(ds, np.ones(3), 1e-8)
 
 
 def _rel_err(a, b):
@@ -137,16 +139,16 @@ class TestBlockedUpdateW:
     def _problem(n, d, seed):
         ds = _random_ds(n, d, seed)
         P = np.random.default_rng(seed + 100).random((n, 3)) + 0.05
-        return ds, P
+        return ds, P.sum(axis=-1)
 
     @pytest.mark.parametrize("d", [1, 4])
     @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 7)])
     def test_matches_full_gram(self, d, blocks, extra):
         rows = solver.gram_block_rows(d)
         n = blocks * rows + extra
-        ds, P = self._problem(n, d, seed=d)
-        w = update_w(ds, P, 1e-8)
-        ref = full_gram_update_w(ds, P, 1e-8)
+        ds, s = self._problem(n, d, seed=d)
+        w = update_w(ds, s, 1e-8)
+        ref = full_gram_update_w(ds, s, 1e-8)
         assert _rel_err(w, ref) <= 1e-12
         if n <= rows:  # one block: the same products as the oracle, bit for bit
             assert np.array_equal(w, ref)
@@ -154,8 +156,8 @@ class TestBlockedUpdateW:
     def test_wide_design_blocks_of_d_rows(self):
         d = 200
         assert solver.gram_block_rows(d) == d
-        ds, P = self._problem(3 * d + 7, d, seed=5)
-        assert _rel_err(update_w(ds, P, 1e-8), full_gram_update_w(ds, P, 1e-8)) <= 1e-12
+        ds, s = self._problem(3 * d + 7, d, seed=5)
+        assert _rel_err(update_w(ds, s, 1e-8), full_gram_update_w(ds, s, 1e-8)) <= 1e-12
 
     @pytest.mark.parametrize("n", [10, 41])
     def test_one_row_blocks(self, monkeypatch, n):
@@ -163,23 +165,23 @@ class TestBlockedUpdateW:
         # shrink it
         monkeypatch.setattr(solver, "GRAM_BLOCK_ELEMS", 1)
         assert solver.gram_block_rows(1) == 1
-        ds, P = self._problem(n, 1, seed=n)
-        assert _rel_err(update_w(ds, P, 1e-8), full_gram_update_w(ds, P, 1e-8)) <= 1e-12
+        ds, s = self._problem(n, 1, seed=n)
+        assert _rel_err(update_w(ds, s, 1e-8), full_gram_update_w(ds, s, 1e-8)) <= 1e-12
 
     def test_zero_weight_block(self):
         d = 6
         rows = solver.gram_block_rows(d)
-        ds, P = self._problem(3 * rows + 7, d, seed=7)
-        P[rows:2 * rows] = 0.0
-        assert _rel_err(update_w(ds, P, 1e-8), full_gram_update_w(ds, P, 1e-8)) <= 1e-12
+        ds, s = self._problem(3 * rows + 7, d, seed=7)
+        s[rows:2 * rows] = 0.0
+        assert _rel_err(update_w(ds, s, 1e-8), full_gram_update_w(ds, s, 1e-8)) <= 1e-12
 
     def test_no_weighted_copy_of_x(self):
         n, d = 200_000, 8
-        ds, P = self._problem(n, d, seed=3)
-        update_w(ds, P, 1e-8)  # warm up lazy imports and BLAS buffers
+        ds, s = self._problem(n, d, seed=3)
+        update_w(ds, s, 1e-8)  # warm up lazy imports and BLAS buffers
         tracemalloc.start()
         try:
-            update_w(ds, P, 1e-8)
+            update_w(ds, s, 1e-8)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -195,6 +197,12 @@ class TestBlockedUpdateW:
         ref = fit(ds, ens, config)
         assert_allclose(model.trace.risks, ref.trace.risks, rtol=1e-12, atol=0)
         assert _rel_err(model.w, ref.w) <= 1e-12
+
+
+# distinct losses enough for ensembles of up to 7
+_SPEC_POOL = tuple(LossSpec(kind, scale) for kind, scale in (
+    ("welsch", 0.5), ("welsch", 2.0), ("l1l2", 1.0), ("huber", 0.5), ("huber", 1.5),
+    ("fair", 1.0), ("fair", 3.0), ("logcosh", 1.0)))
 
 
 class TestStackedSteps:
@@ -213,27 +221,55 @@ class TestStackedSteps:
         ens = parse_ensemble("welsch,l1l2,huber")
         W = np.random.default_rng(d).standard_normal((4, d))
         E = residuals(W, stack)
-        P = update_p(ens, E)
-        w = update_w(stack, P, 1e-8)
+        P = np.stack(update_p(ens, E), axis=-1)
+        S = P.sum(axis=-1)
+        w = update_w(stack, S, 1e-8)
         risk = objective(ens, E)
         for j, part in enumerate(parts):
             e = residuals(W[j], part)
             assert np.array_equal(E[j], e)
-            assert np.array_equal(P[j], update_p(ens, e))
-            assert np.array_equal(w[j], update_w(part, P[j], 1e-8))
+            assert np.array_equal(P[j], np.stack(update_p(ens, e), axis=-1))
+            assert np.array_equal(w[j], update_w(part, S[j], 1e-8))
             assert risk[j] == objective(ens, e)
 
     def test_nonfinite_fold_gets_nan_alone(self):
         parts, stack = self._stack(3, 5, 2, seed=1)
         stack.X[1, :, 0] = np.arange(5) * 1e300
-        P = np.ones((3, 5, 1))
+        s = np.ones((3, 5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="ignore"):
-                w = update_w(stack, P, 1e-8)
+                w = update_w(stack, s, 1e-8)
         assert np.all(np.isnan(w[1]))
         for j in (0, 2):
-            assert np.array_equal(w[j], update_w(parts[j], P[j], 1e-8))
+            assert np.array_equal(w[j], update_w(parts[j], s[j], 1e-8))
+
+    @given(losses=st.lists(st.sampled_from(_SPEC_POOL), min_size=1, max_size=7, unique=True),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_weight_sum_is_the_row_sum_of_p(self, losses, seed):
+        # the loop adds P's columns; up to 7 losses that is P.sum(axis=-1)
+        # bit for bit, on every iteration of every fold, padded ones too
+        parts, stack = self._stack(3, 30, 3, seed=seed)
+        stack.X[2, 26:], stack.y[2, 26:] = 0.0, 0.0
+        stack = replace(stack, counts=np.array([30, 30, 26]))
+        seen = []
+
+        def spy_p(ensemble, e):
+            seen.append(update_p(ensemble, e))
+            return seen[-1]
+
+        def spy_w(ds, s, alpha):
+            seen.append(s)
+            return update_w(ds, s, alpha)
+
+        with mock.patch.object(solver, "update_p", spy_p), \
+                mock.patch.object(solver, "update_w", spy_w):
+            fit_folds(stack, EnsembleSpec(tuple(losses)), SolverConfig(max_iters=4))
+        assert len(seen) >= 2
+        for cols, s in zip(seen[::2], seen[1::2]):
+            assert len(cols) == len(losses)
+            assert np.array_equal(s, np.stack(cols, axis=-1).sum(axis=-1))
 
     def test_fit_folds_raise_the_first_failing_fold(self):
         parts, stack = self._stack(3, 30, 2, seed=4)
@@ -336,7 +372,7 @@ class TestFit:
     def test_ols_reduction_with_frozen_ones(self):
         for seed in range(10):
             ds = _random_ds(50, 5, seed)
-            w = update_w(ds, np.ones((50, 1)), 1e-12)
+            w = update_w(ds, np.ones(50), 1e-12)
             assert np.max(np.abs(w - ols_oracle(ds.X, ds.y))) <= 1e-6
 
     def test_all_redescended_raises(self):
