@@ -9,7 +9,7 @@ redescending welsch loss -- the only member able to ignore them -- gains
 share, and the slope estimate barely moves.
 """
 
-from relf import NoiseConfig, fit, ols_fit, parse_ensemble, synth_line
+from relf import FoldStack, NoiseConfig, fit, ols_fit, parse_ensemble, synth_line
 from relf.data import NOISE_GAUSSIAN, NOISE_OUTLIER
 
 ensemble = parse_ensemble("welsch:1.5,l1l2")
@@ -24,7 +24,7 @@ for label, noise in [
     model = fit(ds, ensemble)
     print(f"{label}:")
     print(f"  slope estimate   {model.w[0]:8.4f}   (true slope 2.0)")
-    print(f"  ols slope        {ols_fit(ds)[0]:8.4f}")
+    print(f"  ols slope        {ols_fit(FoldStack.of(ds))[0, 0]:8.4f}")
     for name, lam in zip(model.ensemble.labels(), model.loss_weights):
         print(f"  lambda[{name:<10}] {lam:8.4f}")
     print(f"  iterations {model.trace.iterations}, "

@@ -17,11 +17,11 @@ import numpy as np
 from relf import (
     NoiseConfig,
     Preprocessing,
+    error_metrics,
     fit,
     load_csv,
     load_libsvm,
     load_model,
-    mae,
     parse_ensemble,
     predict,
     save_libsvm,
@@ -59,7 +59,8 @@ back = load_model(model_path)
 X = back.preprocessing.apply(from_csv).X  # the stored intercept, applied
 print(f"model:  w = {np.round(back.w, 4)}, "
       f"lambda = {np.round(back.loss_weights, 4)}")
-print(f"        reload mae {mae(from_csv.y, predict(back, X)):.4f} "
+mae, _ = error_metrics(from_csv.y - predict(back, X))
+print(f"        reload mae {mae:.4f} "
       f"(same as before save: "
       f"{np.array_equal(back.w, model.w)})")
 print(f"files under {work}")

@@ -17,7 +17,6 @@ from .exceptions import (
     DuplicateLossError,
     EmptyEnsembleError,
     EmptyFileError,
-    EmptyInputError,
     EnsembleError,
     FactorizationError,
     FractionRangeError,
@@ -83,12 +82,11 @@ from .evaluation import (
     RelfMethod,
     cross_validate,
     cv_folds,
+    error_metrics,
     increase_ratio,
     kfold_split,
-    mae,
     ols_fit,
     parse_method,
-    rmse,
     run_benchmark,
     train_labels,
 )

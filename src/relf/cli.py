@@ -31,7 +31,7 @@ from .data import (
     NoiseConfig,
     Preprocessing,
 )
-from .evaluation import mae, rmse, run_benchmark
+from .evaluation import error_metrics, run_benchmark
 from .exceptions import (
     FactorizationError,
     NonFiniteObjectiveError,
@@ -145,8 +145,9 @@ def cmd_predict(args) -> int:
 
     yhat = predict(model, model.preprocessing.apply(ds).X)
     if y is not None:
-        print(f"mae: {mae(y, yhat):.6f}")
-        print(f"rmse: {rmse(y, yhat):.6f}")
+        mae, rmse = error_metrics(y - yhat)
+        print(f"mae: {mae:.6f}")
+        print(f"rmse: {rmse:.6f}")
     if args.output:
         header, columns = "prediction", [yhat.tolist()]
         if y is not None:

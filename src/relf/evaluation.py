@@ -34,9 +34,8 @@ from .data import (
 )
 from .exceptions import (
     DataError,
-    DimensionMismatchError,
+    DegenerateTraceWarning,
     DoubleInterceptError,
-    EmptyInputError,
     RelfError,
     TooManyFoldsError,
     ZeroCleanBaselineError,
@@ -46,29 +45,13 @@ from .solver import SolverConfig, decrease_ratio, fit, fit_folds
 from . import linalg
 
 
-def _metric_args(y_true, y_pred):
-    y_true = np.asarray(y_true, dtype=float)
-    y_pred = np.asarray(y_pred, dtype=float)
-    if y_true.ndim != 1 or y_pred.ndim != 1:
-        raise DimensionMismatchError("metric inputs must be 1-D")
-    if y_true.shape != y_pred.shape:
-        raise DimensionMismatchError(
-            f"length mismatch: {y_true.shape[0]} vs {y_pred.shape[0]}")
-    if y_true.shape[0] == 0:
-        raise EmptyInputError("metric inputs are empty")
-    return y_true, y_pred
-
-
-def mae(y_true, y_pred) -> float:
-    """Mean absolute error ``(1/n) sum |y_i - yhat_i|``."""
-    y_true, y_pred = _metric_args(y_true, y_pred)
-    return float(np.mean(np.abs(y_true - y_pred)))
-
-
-def rmse(y_true, y_pred) -> float:
-    """Root mean squared error ``sqrt((1/n) sum (y_i - yhat_i)^2)``."""
-    y_true, y_pred = _metric_args(y_true, y_pred)
-    return float(np.sqrt(np.mean((y_true - y_pred) ** 2)))
+def error_metrics(err) -> tuple:
+    """``(mae, rmse)`` of the errors ``err`` over its last axis:
+    ``mean |e|`` and ``sqrt(mean e^2)``.  A square past the float range
+    gives an ``inf`` rmse without a numpy warning."""
+    err = np.asarray(err, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.mean(np.abs(err), axis=-1), np.sqrt(np.mean(err ** 2, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -113,16 +96,13 @@ def derive_seed(*keys) -> int:
 
 # --- methods ----------------------------------------------------------------
 
-def ols_fit(ds: Dataset | FoldStack, ridge_alpha: float = 0.0) -> np.ndarray:
+def ols_fit(stack: FoldStack, ridge_alpha: float = 0.0) -> np.ndarray:
     """Least squares via the normal equations, with optional ridge term:
-    ``w`` (d,) for a :class:`Dataset`, one ``w`` per fold for a
-    :class:`FoldStack`, from sums over the fold's own rows.
+    one ``w`` per fold of ``stack``, (k, d), over the fold's own rows.
 
     ``ridge_alpha`` is passed straight to the jittered SPD solve, so 0
     still gets the 1e-12 stability floor; large values shrink ``w`` to 0.
     """
-    lone = isinstance(ds, Dataset)
-    stack = FoldStack.of(ds) if lone else ds
     A = np.empty((stack.k, stack.d, stack.d))
     b = np.empty((stack.k, stack.d, 1))
     for folds, count in stack.runs:
@@ -130,8 +110,7 @@ def ols_fit(ds: Dataset | FoldStack, ridge_alpha: float = 0.0) -> np.ndarray:
         A[folds] = X.transpose(0, 2, 1) @ X
         b[folds] = X.transpose(0, 2, 1) @ y[..., None]
     A = 0.5 * (A + A.transpose(0, 2, 1))
-    w = linalg.solve_spd_with_jitter(A, b[..., 0], ridge_alpha)
-    return w[0] if lone else w
+    return linalg.solve_spd_with_jitter(A, b[..., 0], ridge_alpha)
 
 
 @dataclass(frozen=True)
@@ -197,11 +176,18 @@ def parse_method(text: str, solver_config: SolverConfig | None = None):
 
 @dataclass
 class CvResult:
-    """Per-fold metrics for one method on one dataset."""
+    """Per-fold metrics for one method on one dataset; a :class:`DataError`
+    if a mean or std of them is not finite."""
 
     method: str
     fold_mae: np.ndarray
     fold_rmse: np.ndarray
+
+    def __post_init__(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name in ("mean_mae", "mean_rmse", "std_mae", "std_rmse"):
+                if not np.isfinite(getattr(self, name)):
+                    raise DataError(f"{name} of the test errors overflows the float range")
 
     @property
     def mean_mae(self) -> float:
@@ -313,8 +299,7 @@ def cross_validate(folds: CvFolds, method, labels=None) -> list[CvResult]:
     err = test.y - (test.X @ w[..., None])[..., 0]
     fold_mae, fold_rmse = np.empty(w.shape[:2]), np.empty(w.shape[:2])
     for run, count in test.runs:  # the mae/rmse of each fold's own rows
-        fold_mae[:, run] = np.mean(np.abs(err[:, run, :count]), axis=-1)
-        fold_rmse[:, run] = np.sqrt(np.mean(err[:, run, :count] ** 2, axis=-1))
+        fold_mae[:, run], fold_rmse[:, run] = error_metrics(err[:, run, :count])
     return [CvResult(method.label, a, r) for a, r in zip(fold_mae, fold_rmse)]
 
 
@@ -469,6 +454,13 @@ def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
     scale_features = manifest.get("scale_features", True)
     intercept = manifest.get("intercept", True)
     methods = [parse_method(s, solver_config) for s in manifest.get("methods", [])]
+    # cells are looked up by (dataset, method, level), so each must be unique
+    for what, keys in (("dataset", [entry["name"] for entry in manifest.get("datasets", [])]),
+                       ("method", [method.label for method in methods]),
+                       ("contamination level", levels)):
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise DataError(f"manifest lists {what} {key!r} twice")
 
     cells, ratios, convergence = [], [], []
     for ds_idx, entry in enumerate(manifest.get("datasets", [])):
@@ -516,6 +508,8 @@ def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
             ratio = increase_ratio(cell["mae"], clean["mae"])
         except ZeroCleanBaselineError:
             continue
+        if np.isinf(ratio):  # the quotient overflows the float range
+            continue
         ratios.append({
             "dataset": cell["dataset"], "method": cell["method"],
             "contamination": level, "increase_ratio": ratio,
@@ -545,6 +539,7 @@ def _cv_cells(folds: CvFolds, method, labels) -> list[dict]:
 
 def _convergence_report(ds: Dataset, method: RelfMethod, name: str,
                         scale_features: bool, intercept: bool) -> dict:
+    import warnings
     report = {"dataset": name, "method": method.label}
     try:
         work = Preprocessing.fit(ds, scale_features, intercept).apply(ds)
@@ -553,7 +548,9 @@ def _convergence_report(ds: Dataset, method: RelfMethod, name: str,
         seconds = time.perf_counter() - t0
         trace = model.trace
         try:
-            ratio = decrease_ratio(trace)
+            with warnings.catch_warnings():  # a flat trace's 1.0 is recorded as is
+                warnings.simplefilter("ignore", DegenerateTraceWarning)
+                ratio = decrease_ratio(trace)
         except ValueError:
             ratio = None
         report.update(

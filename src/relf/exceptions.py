@@ -103,10 +103,6 @@ class DegenerateTraceWarning(UserWarning):
 
 # --- evaluation -----------------------------------------------------------
 
-class EmptyInputError(RelfError, ValueError):
-    """Metric input is empty."""
-
-
 class TooManyFoldsError(RelfError, ValueError):
     """More folds requested than samples available."""
 

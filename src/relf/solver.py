@@ -116,13 +116,13 @@ class RelfModel:
     preprocessing: Preprocessing = field(default_factory=Preprocessing)
 
 
-def residuals(w, ds: Dataset | FoldStack) -> np.ndarray:
-    """``e = y - X w``: (n,) for a :class:`Dataset` and ``w`` (d,), or
-    (k, rows) for a :class:`FoldStack` and one ``w`` per fold, (k, d)."""
+def residuals(w, stack: FoldStack) -> np.ndarray:
+    """``e = y - X w`` per fold of ``stack``: (k, rows) for one ``w`` per
+    fold, (k, d)."""
     w = np.asarray(w, dtype=float)
-    if w.shape != ds.X.shape[:-2] + (ds.d,):
-        raise DimensionMismatchError(f"w has shape {w.shape}, X has {ds.d} columns")
-    return ds.y - (ds.X @ w[..., None])[..., 0]
+    if w.shape != (stack.k, stack.d):
+        raise DimensionMismatchError(f"w has shape {w.shape}, expected ({stack.k}, {stack.d})")
+    return stack.y - (stack.X @ w[..., None])[..., 0]
 
 
 def update_p(ensemble: EnsembleSpec, e) -> list[np.ndarray]:
@@ -147,11 +147,10 @@ def gram_block_rows(d: int) -> int:
     return max(GRAM_BLOCK_ELEMS // max(d, 1), d)
 
 
-def update_w(ds: Dataset | FoldStack, s, alpha: float) -> np.ndarray:
-    """w-step: jittered weighted normal equations with ``s_i = sum_k p_ik``.
+def update_w(stack: FoldStack, s, alpha: float) -> np.ndarray:
+    """w-step: jittered weighted normal equations with ``s_i = sum_k p_ik``,
+    ``s`` (k, rows) shaped like ``stack.y``, giving one ``w`` per fold.
 
-    ``ds`` is a :class:`Dataset` with ``s`` (n,), giving ``w`` (d,), or a
-    :class:`FoldStack` with ``s`` (k, rows), giving one ``w`` per fold.
     Per fold, ``A = X^T S X`` and ``b = X^T S y`` are summed over the
     fold's own rows (:attr:`FoldStack.runs`) in row blocks of
     :func:`gram_block_rows` rows, each weighted into one reused buffer, so
@@ -160,11 +159,8 @@ def update_w(ds: Dataset | FoldStack, s, alpha: float) -> np.ndarray:
     ``w``, which :func:`fit` reports as :class:`NonFiniteObjectiveError`.
     """
     s = np.asarray(s, dtype=float)
-    if s.shape != ds.y.shape:
-        raise DimensionMismatchError(f"s has shape {s.shape}, expected {ds.y.shape}")
-    lone = isinstance(ds, Dataset)
-    stack = FoldStack.of(ds) if lone else ds
-    s = s.reshape(stack.y.shape)
+    if s.shape != stack.y.shape:
+        raise DimensionMismatchError(f"s has shape {s.shape}, expected {stack.y.shape}")
     k, n, d = stack.X.shape
     rows = gram_block_rows(d)
     A = np.zeros((k, d, d))
@@ -183,22 +179,20 @@ def update_w(ds: Dataset | FoldStack, s, alpha: float) -> np.ndarray:
     A = 0.5 * (A + A.transpose(0, 2, 1))  # BLAS rounding can leave ~1 ulp asymmetry
     w = linalg.solve_spd_with_jitter(A, b[..., 0], alpha)
     w[bad] = np.nan
-    return w[0] if lone else w
+    return w
 
 
-def objective(ensemble: EnsembleSpec, e, stack: FoldStack | None = None):
+def objective(ensemble: EnsembleSpec, e, stack: FoldStack) -> np.ndarray:
     """Pooled (unweighted) empirical risk ``sum_i sum_k phi_k(e_i)`` of the
-    residuals ``e`` (see :func:`residuals`); ``inf`` once the sum overflows.
-    A float for residuals (n,), one risk per row for (k, rows); for the
-    residuals of ``stack``, one risk per fold over the fold's own rows."""
+    residuals ``e`` of ``stack`` (see :func:`residuals`): one risk per fold
+    over the fold's own rows, (k,); ``inf`` once a sum overflows."""
     e = np.asarray(e, dtype=float)
-    runs = [(Ellipsis, e.shape[-1])] if stack is None else stack.runs
-    risk = np.zeros(e.shape[:-1])
+    risk = np.zeros(stack.k)
     for spec in ensemble.losses:  # one loss's terms alive at a time
         terms = phi(spec, e)
-        for folds, count in runs:
+        for folds, count in stack.runs:
             risk[folds] += np.sum(terms[folds, :count], axis=-1)
-    return float(risk) if e.ndim == 1 else risk
+    return risk
 
 
 def fit(ds: Dataset, ensemble: EnsembleSpec, config: SolverConfig | None = None) -> RelfModel:

@@ -118,6 +118,7 @@ def two_matvec_fit(ds, ensemble, config):
     """The alternating loop with the residual computed twice per iteration:
     once for the P-step and once more for the risk of the new iterate.
     Returns ``(w, risks)``."""
+    from relf.data import FoldStack
     from relf.losses import phi
     from relf.solver import INIT_GAUSSIAN, update_p, update_w
 
@@ -125,11 +126,11 @@ def two_matvec_fit(ds, ensemble, config):
         w = np.random.default_rng(config.init_seed).normal(0.0, config.init_std, size=ds.d)
     else:
         w = np.zeros(ds.d)
-    risks = []
+    risks, stack = [], FoldStack.of(ds)
     for _ in range(config.max_iters):
         e = ds.y - ds.X @ w
         P = np.stack(update_p(ensemble, e), axis=-1)
-        w_next = update_w(ds, P.sum(axis=-1), config.alpha)
+        w_next = update_w(stack, P.sum(axis=-1)[None], config.alpha)[0]
         e_next = ds.y - ds.X @ w_next
         risk = float(sum(np.sum(phi(spec, e_next)) for spec in ensemble.losses))
         done = bool(risks) and abs(risks[-1] - risk) <= config.rel_tol * max(1.0, risks[-1])
@@ -140,19 +141,19 @@ def two_matvec_fit(ds, ensemble, config):
     return w, np.asarray(risks)
 
 
-def full_gram_update_w(ds, s, alpha):
-    """The w-step with the whole weighted Gram in one product,
+def full_gram_update_w(stack, s, alpha):
+    """The w-step with the whole weighted Gram of each fold in one product,
     ``A = X^T (X * s)``, through a full weighted copy of X; only the
     jittered solve is the library's.  Like ``update_w``, it takes a
-    ``Dataset`` or a ``FoldStack`` (one Gram per fold) and the weight sums
-    ``s`` shaped like its labels."""
+    ``FoldStack`` and the weight sums ``s`` shaped like its labels, and
+    gives one ``w`` per fold."""
     from relf.linalg import solve_spd_with_jitter
 
     s = np.asarray(s, dtype=float)
-    Xs = ds.X * s[..., None]
-    A = np.swapaxes(ds.X, -1, -2) @ Xs
-    A = 0.5 * (A + np.swapaxes(A, -1, -2))
-    b = (np.swapaxes(Xs, -1, -2) @ ds.y[..., None])[..., 0]
+    Xs = stack.X * s[..., None]
+    A = stack.X.transpose(0, 2, 1) @ Xs
+    A = 0.5 * (A + A.transpose(0, 2, 1))
+    b = (Xs.transpose(0, 2, 1) @ stack.y[..., None])[..., 0]
     return solve_spd_with_jitter(A, b, alpha)
 
 
@@ -164,8 +165,8 @@ def per_fold_cross_validate(ds, method, cv=None, *, contamination=None,
     from dataclasses import replace
 
     from relf.data import add_intercept, apply_scaler, fit_scaler, inject_outliers
-    from relf.evaluation import (CvConfig, RelfMethod, derive_seed, kfold_split, mae,
-                                 ols_fit, rmse)
+    from relf.data import FoldStack
+    from relf.evaluation import CvConfig, RelfMethod, derive_seed, kfold_split, ols_fit
     from relf.solver import fit
 
     fold_mae, fold_rmse = [], []
@@ -183,8 +184,8 @@ def per_fold_cross_validate(ds, method, cv=None, *, contamination=None,
         if isinstance(method, RelfMethod):
             w = fit(train, method.ensemble, method.config).w
         else:
-            w = ols_fit(train, method.ridge_alpha)
-        pred = test.X @ w
-        fold_mae.append(mae(test.y, pred))
-        fold_rmse.append(rmse(test.y, pred))
+            w = ols_fit(FoldStack.of(train), method.ridge_alpha)[0]
+        err = test.y - test.X @ w
+        fold_mae.append(np.mean(np.abs(err)))
+        fold_rmse.append(np.sqrt(np.mean(err ** 2)))
     return np.asarray(fold_mae), np.asarray(fold_rmse)

@@ -16,6 +16,7 @@ from relf import (
     CvConfig,
     Dataset,
     EnsembleSpec,
+    FoldStack,
     LeastSquaresMethod,
     LossSpec,
     NoiseConfig,
@@ -26,13 +27,12 @@ from relf import (
     cv_folds,
     decrease_ratio,
     delta,
+    error_metrics,
     fit,
     inject_outliers,
     kfold_split,
-    mae,
     parse_ensemble,
     phi,
-    rmse,
     synth_line,
     train_labels,
     update_w,
@@ -184,7 +184,7 @@ def test_criterion_6_kernel_equivalences(capsys):
             ds = _random_ds(50, 5, seed)
             ref = ols_oracle(ds.X, ds.y)
             for m in (1, 3):
-                w = update_w(ds, np.ones((ds.n, m)).sum(axis=-1), 1e-12)
+                w = update_w(FoldStack.of(ds), np.ones((1, ds.n, m)).sum(axis=-1), 1e-12)[0]
                 assert np.max(np.abs(w - ref)) <= 1e-6
         # (b) a single-loss ensemble is classical IRLS for that loss
         ds = _random_ds(100, 3, 21, outliers=True)
@@ -235,7 +235,8 @@ def test_criterion_7_solver_and_protocol_invariants(capsys):
             n = int(rng.integers(1, 40))
             y = rng.standard_normal(n)
             yhat = y + rng.standard_normal(n) * rng.uniform(0, 3)
-            assert mae(y, yhat) <= rmse(y, yhat) + 1e-12
+            mae, rmse = error_metrics(y - yhat)
+            assert mae <= rmse + 1e-12
         # mixing two convex losses pulls the minimizer between their targets
         u, v = -1.3, 2.1
         for kind_a, kind_b in itertools.combinations(CONVEX_KINDS, 2):

@@ -325,6 +325,13 @@ class TestBenchCommand:
         ({"solver": {"alpha": "x"}}, "manifest solver 'alpha' must be a finite number"),
         ({"solver": {"max_iters": 2.5}}, "manifest solver 'max_iters' must be an integer"),
         ({"solver": {"init_std": True}}, "manifest solver 'init_std' must be a finite number"),
+        # cells are looked up by (dataset, method, level): a repeat would
+        # divide one dataset's MAE by another's clean baseline
+        ({"datasets": [{"name": "a", "format": "synthetic"}] * 2, "methods": ["ols"],
+          "contamination_levels": [0.0, 0.3, 0.3]}, "manifest lists dataset 'a' twice"),
+        ({"contamination_levels": [0.0, 0.3, 0.3]}, "manifest lists contamination level 0.3 twice"),
+        ({"contamination_levels": [0, 0.3, 0.0]}, "manifest lists contamination level 0.0 twice"),
+        ({"methods": ["ols", " OLS"]}, "manifest lists method 'ols' twice"),
     ])
     def test_bench_malformed_manifest(self, tmp_path, capsys, manifest, message):
         path = tmp_path / "manifest.json"

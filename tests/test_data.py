@@ -174,6 +174,18 @@ def _csv_files(draw):
     return newline.join(lines) + newline, has_header, label, label_idx
 
 
+@st.composite
+def _libsvm_datasets(draw):
+    """A ``Dataset`` of finite floats, zeros of both signs among them, whose
+    last column holds a nonzero entry: the loader's width is the largest
+    index it sees."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0.0), st.just(-0.0), _finite_floats())
+    X = np.array([[draw(entry) for _ in range(d)] for _ in range(n)])
+    X[draw(st.integers(0, n - 1)), -1] = draw(_finite_floats().filter(lambda v: v != 0.0))
+    return Dataset(X=X, y=np.array([draw(_finite_floats()) for _ in range(n)]))
+
+
 class TestLoadCsvOracle:
     """``load_csv`` against ``csv.reader`` + one ``float()`` per cell."""
 
@@ -290,6 +302,17 @@ class TestLibsvm:
         back = load_libsvm(path)
         assert np.array_equal(back.X, ds.X)
         assert np.array_equal(back.y, ds.y)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_libsvm_datasets())
+    def test_round_trip_property(self, tmp_path, ds):
+        path = tmp_path / "rt.svm"
+        save_libsvm(ds, path)
+        back = load_libsvm(path)
+        assert back.y.tobytes() == ds.y.tobytes()
+        # a zero entry is not written, so -0.0 comes back as 0.0
+        assert back.X.tobytes() == (ds.X + 0.0).tobytes()
 
 
 class TestScaler:

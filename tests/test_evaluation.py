@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import relf
 from relf import (
     CvConfig,
+    CvResult,
     Dataset,
     LeastSquaresMethod,
     NoiseConfig,
@@ -21,14 +27,13 @@ from relf import (
     SolverConfig,
     cross_validate,
     cv_folds,
+    error_metrics,
     fit,
     increase_ratio,
     kfold_split,
-    mae,
     ols_fit,
     parse_ensemble,
     parse_method,
-    rmse,
     run_benchmark,
     synth_line,
     train_labels,
@@ -36,8 +41,6 @@ from relf import (
 from relf.data import NOISE_GAUSSIAN, NOISE_OUTLIER
 from relf.exceptions import (
     DataError,
-    DimensionMismatchError,
-    EmptyInputError,
     NonFiniteObjectiveError,
     RelfError,
     TooManyFoldsError,
@@ -47,26 +50,24 @@ from relf.exceptions import (
 from oracles import mc_mean_abs_gaussian, ols_oracle, per_fold_cross_validate
 
 
+def _mae(y, yhat):
+    return error_metrics(np.subtract(y, yhat))[0]
+
+
+def _rmse(y, yhat):
+    return error_metrics(np.subtract(y, yhat))[1]
+
+
 class TestMetrics:
     def test_mae_examples(self):
-        assert mae([1.0, 2.0], [1.0, 2.0]) == 0.0
-        assert mae([0.0, 0.0], [1.0, -1.0]) == 1.0
-        assert_allclose(mae([1.0, 2.0, 3.0], [2.0, 2.0, 2.0]), 2.0 / 3.0)
+        assert _mae([1.0, 2.0], [1.0, 2.0]) == 0.0
+        assert _mae([0.0, 0.0], [1.0, -1.0]) == 1.0
+        assert_allclose(_mae([1.0, 2.0, 3.0], [2.0, 2.0, 2.0]), 2.0 / 3.0)
 
     def test_rmse_examples(self):
-        assert rmse([1.0], [1.0]) == 0.0
-        assert_allclose(rmse([0.0, 0.0], [3.0, 4.0]), np.sqrt(12.5))
-        assert rmse([5.0], [3.0]) == 2.0
-
-    def test_errors(self):
-        with pytest.raises(DimensionMismatchError):
-            mae([1.0], [1.0, 2.0])
-        with pytest.raises(DimensionMismatchError):
-            rmse([1.0], [1.0, 2.0])
-        with pytest.raises(EmptyInputError):
-            mae([], [])
-        with pytest.raises(EmptyInputError):
-            rmse([], [])
+        assert _rmse([1.0], [1.0]) == 0.0
+        assert_allclose(_rmse([0.0, 0.0], [3.0, 4.0]), np.sqrt(12.5))
+        assert _rmse([5.0], [3.0]) == 2.0
 
     def test_mae_never_exceeds_rmse(self):
         rng = np.random.default_rng(99)
@@ -74,7 +75,21 @@ class TestMetrics:
             n = int(rng.integers(1, 30))
             y = rng.standard_normal(n) * rng.uniform(0.1, 10)
             yhat = y + rng.standard_normal(n) * rng.uniform(0.0, 5)
-            assert mae(y, yhat) <= rmse(y, yhat) + 1e-12
+            assert _mae(y, yhat) <= _rmse(y, yhat) + 1e-12
+
+    def test_reduces_over_the_last_axis(self):
+        err = np.random.default_rng(3).standard_normal((2, 3, 7))
+        mae, rmse = error_metrics(err)
+        assert mae.shape == rmse.shape == (2, 3)
+        for i, j in np.ndindex(2, 3):
+            assert mae[i, j] == np.mean(np.abs(err[i, j]))
+            assert rmse[i, j] == np.sqrt(np.mean(err[i, j] ** 2))
+
+    def test_overflowing_square_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mae, rmse = error_metrics([1e200, -1e200])
+        assert mae == 1e200 and rmse == np.inf
 
 
 class TestKfold:
@@ -116,16 +131,16 @@ class TestKfold:
 
 class TestOls:
     def test_exact_line(self):
-        ds = Dataset(X=[[1.0], [2.0]], y=[2.0, 4.0])
-        assert_allclose(ols_fit(ds), [2.0], rtol=1e-9)
+        stack = FoldStack.of(Dataset(X=[[1.0], [2.0]], y=[2.0, 4.0]))
+        assert_allclose(ols_fit(stack), [[2.0]], rtol=1e-9)
 
     def test_large_ridge_shrinks(self):
-        ds = Dataset(X=[[1.0], [2.0]], y=[2.0, 4.0])
-        assert abs(ols_fit(ds, ridge_alpha=1e12)[0]) < 1e-9
+        stack = FoldStack.of(Dataset(X=[[1.0], [2.0]], y=[2.0, 4.0]))
+        assert abs(ols_fit(stack, ridge_alpha=1e12)[0, 0]) < 1e-9
 
     def test_outlier_pull_matches_oracle(self):
         ds = Dataset(X=[[1.0], [2.0], [3.0]], y=[1.0, 2.0, 10.0])
-        w = ols_fit(ds, ridge_alpha=1e-12)
+        w = ols_fit(FoldStack.of(ds), ridge_alpha=1e-12)[0]
         assert_allclose(w, ols_oracle(ds.X, ds.y), rtol=1e-9)
         assert_allclose(w[0], 35.0 / 14.0, rtol=1e-9)  # sum(xy)/sum(x^2)
 
@@ -138,6 +153,24 @@ class TestIncreaseRatio:
     def test_zero_clean(self):
         with pytest.raises(ZeroCleanBaselineError):
             increase_ratio(1.0, 0.0)
+
+
+class TestCvResult:
+    def test_statistics(self):
+        res = CvResult("ols", np.array([1.0, 3.0]), np.array([2.0, 2.0]))
+        assert (res.mean_mae, res.std_mae, res.mean_rmse, res.std_rmse) == (2.0, 1.0, 2.0, 0.0)
+
+    @pytest.mark.parametrize("fold_mae, fold_rmse, name", [
+        ([1e308, 1e308], [1.0, 1.0], "mean_mae"),
+        ([1.0, 1.0], [np.inf, 1.0], "mean_rmse"),
+        ([0.0, 1e200], [1.0, 1.0], "std_mae"),
+        ([1.0, 1.0], [0.0, 1e200], "std_rmse"),
+    ])
+    def test_nonfinite_statistic_is_data_error(self, fold_mae, fold_rmse, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^{name} of the test errors overflows"):
+                CvResult("ols", np.array(fold_mae), np.array(fold_rmse))
 
 
 class TestParseMethod:
@@ -441,14 +474,21 @@ def _isolation_manifest(tmp_path):
     }
 
 
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"{path} holds {constant}, which is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 class TestRunBenchmark:
-    # the convergence report of the "overflow" set has a flat trace
-    @pytest.mark.filterwarnings("ignore::relf.exceptions.DegenerateTraceWarning")
     def test_failing_level_leaves_the_other_cells_alone(self, tmp_path):
         # a level that fails the stacked fit is fitted again on its own, so
         # each cell keeps its numbers or names its own error
         manifest = _isolation_manifest(tmp_path)
-        full = run_benchmark(manifest, base_dir=tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            full = run_benchmark(manifest, base_dir=tmp_path)
+        assert [str(w.message) for w in caught] == []
         ref = run_benchmark({**manifest, "contamination_levels": [0.0, 0.1]},
                             base_dir=tmp_path)
         want = {(c["dataset"], c["method"], c["contamination"]): c for c in ref.cells}
@@ -468,6 +508,58 @@ class TestRunBenchmark:
             ("nonfinite", "relf", 0.3):
                 "NonFiniteObjectiveError: objective became non-finite at iteration 1",
         }
+
+    def test_nonfinite_metrics_fail_the_cell(self, tmp_path):
+        # OLS on the "nonfinite" set at level 0.3 predicts ~1e299, whose
+        # squared test errors overflow
+        manifest = {**_isolation_manifest(tmp_path), "methods": ["ols"]}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_benchmark(manifest, base_dir=tmp_path)
+        assert [str(w.message) for w in caught] == []
+        cells = {(c["dataset"], c["contamination"]): c for c in report.cells}
+        assert cells["nonfinite", 0.3]["error"] == (
+            "DataError: mean_rmse of the test errors overflows the float range")
+        assert cells["nonfinite", 0.0]["error"] is None
+        assert cells["nonfinite", 0.1]["error"] is None
+        assert [r["contamination"] for r in report.ratios if r["dataset"] == "nonfinite"] == [0.1]
+        payload = _strict_json(report.write(tmp_path / "out")[0])
+        assert payload["ok"] is False
+
+    def test_overflowing_increase_ratio_is_skipped(self, tmp_path):
+        # a near-exact line: the clean MAE is ~1e-158 and the contaminated
+        # one ~1e150, both finite, but their quotient is not
+        rows = [f"{i},{i * 1e-150!r}" for i in range(1, 21)]
+        (tmp_path / "line.csv").write_text("x,y\n" + "\n".join(rows) + "\n")
+        manifest = {
+            "cv": {"folds": 4, "seed": 0}, "contamination_levels": [0.0, 0.3],
+            "outlier_magnitude": 1e300, "methods": ["ols"],
+            "datasets": [{"name": "line", "format": "csv", "path": "line.csv",
+                          "label_column": "y"}],
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_benchmark(manifest, base_dir=tmp_path)
+        assert [str(w.message) for w in caught] == []
+        assert report.ok and report.cells[1]["mae"] > 1e100
+        assert report.ratios == []
+        _strict_json(report.write(tmp_path / "out")[0])
+
+    def test_bench_leaves_stderr_empty(self, tmp_path):
+        # no numpy warning from overflowing metrics, and no flat-trace
+        # warning from the convergence report of the "overflow" set
+        manifest = {**_isolation_manifest(tmp_path), "methods": ["ols", "relf", "irls:huber:0.5"]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        src = str(Path(relf.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "relf.cli", "bench", "--manifest",
+             str(tmp_path / "manifest.json"), "--output-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr == ""
+        _strict_json(tmp_path / "out" / "report.json")
 
     def test_grid_shape(self, tmp_path):
         report = run_benchmark(_toy_manifest(tmp_path), base_dir=tmp_path)

@@ -69,14 +69,17 @@ def _random_ds(n, d, seed, outliers=False):
 
 class TestResiduals:
     def test_examples(self):
-        assert residuals([2.0], Dataset(X=[[3.0]], y=[6.0]))[0] == 0.0
-        assert_allclose(residuals([0.0], Dataset(X=[[1.0], [2.0]], y=[5.0, 3.0])),
-                        [5.0, 3.0])
-        assert residuals([1.0, 1.0], Dataset(X=[[2.0, 3.0]], y=[10.0]))[0] == 5.0
+        assert residuals([[2.0]], FoldStack.of(Dataset(X=[[3.0]], y=[6.0])))[0, 0] == 0.0
+        assert_allclose(residuals([[0.0]], FoldStack.of(Dataset(X=[[1.0], [2.0]], y=[5.0, 3.0]))),
+                        [[5.0, 3.0]])
+        assert residuals([[1.0, 1.0]], FoldStack.of(Dataset(X=[[2.0, 3.0]], y=[10.0])))[0, 0] == 5.0
 
     def test_dimension_error(self):
+        stack = FoldStack.of(Dataset(X=[[1.0]], y=[1.0]))
         with pytest.raises(DimensionMismatchError):
-            residuals([1.0, 2.0], Dataset(X=[[1.0]], y=[1.0]))
+            residuals([[1.0, 2.0]], stack)
+        with pytest.raises(DimensionMismatchError):  # one w per fold, (k, d)
+            residuals([1.0], stack)
 
 
 class TestUpdateP:
@@ -99,32 +102,34 @@ class TestUpdateP:
 
 class TestUpdateW:
     def test_exact_line(self):
-        ds = Dataset(X=[[1.0], [2.0]], y=[2.0, 4.0])
-        w = update_w(ds, np.ones(2), 1e-12)
-        assert_allclose(w, [2.0], rtol=1e-9)
+        stack = FoldStack.of(Dataset(X=[[1.0], [2.0]], y=[2.0, 4.0]))
+        w = update_w(stack, np.ones((1, 2)), 1e-12)
+        assert_allclose(w, [[2.0]], rtol=1e-9)
 
     def test_downweighted_outlier_ignored(self):
-        ds = Dataset(X=[[1.0], [1.0]], y=[2.0, 100.0])
-        w = update_w(ds, np.array([1.0, 1e-15]), 1e-8)
-        assert_allclose(w, [2.0], atol=1e-6)
+        stack = FoldStack.of(Dataset(X=[[1.0], [1.0]], y=[2.0, 100.0]))
+        w = update_w(stack, np.array([[1.0, 1e-15]]), 1e-8)
+        assert_allclose(w, [[2.0]], atol=1e-6)
 
     def test_scalar_formula(self):
-        ds = Dataset(X=[[1.0]], y=[3.0])
-        w = update_w(ds, np.array([2.0]), 1e-8)
-        assert_allclose(w, [2.0 * 3.0 / (2.0 + 1e-8)], rtol=1e-12)
+        stack = FoldStack.of(Dataset(X=[[1.0]], y=[3.0]))
+        w = update_w(stack, np.array([[2.0]]), 1e-8)
+        assert_allclose(w, [[2.0 * 3.0 / (2.0 + 1e-8)]], rtol=1e-12)
 
     def test_against_weighted_oracle(self):
         rng = np.random.default_rng(4)
         ds = _random_ds(40, 3, 4)
         s = rng.random(40) + 0.1
-        w = update_w(ds, s, 1e-10)
+        w = update_w(FoldStack.of(ds), s[None], 1e-10)[0]
         assert_allclose(w, weighted_ls_oracle(ds.X, ds.y, s, 1e-10),
                         rtol=1e-8, atol=1e-10)
 
     def test_shape_guard(self):
-        ds = Dataset(X=[[1.0]], y=[1.0])
+        stack = FoldStack.of(Dataset(X=[[1.0]], y=[1.0]))
         with pytest.raises(DimensionMismatchError):
-            update_w(ds, np.ones(3), 1e-8)
+            update_w(stack, np.ones((1, 3)), 1e-8)
+        with pytest.raises(DimensionMismatchError):  # s is shaped like stack.y
+            update_w(stack, np.ones(1), 1e-8)
 
 
 def _rel_err(a, b):
@@ -137,9 +142,10 @@ class TestBlockedUpdateW:
 
     @staticmethod
     def _problem(n, d, seed):
+        """A one-fold stack and its weight sums ``s``, (1, n)."""
         ds = _random_ds(n, d, seed)
         P = np.random.default_rng(seed + 100).random((n, 3)) + 0.05
-        return ds, P.sum(axis=-1)
+        return FoldStack.of(ds), P.sum(axis=-1)[None]
 
     @pytest.mark.parametrize("d", [1, 4])
     @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 7)])
@@ -172,7 +178,7 @@ class TestBlockedUpdateW:
         d = 6
         rows = solver.gram_block_rows(d)
         ds, s = self._problem(3 * rows + 7, d, seed=7)
-        s[rows:2 * rows] = 0.0
+        s[:, rows:2 * rows] = 0.0
         assert _rel_err(update_w(ds, s, 1e-8), full_gram_update_w(ds, s, 1e-8)) <= 1e-12
 
     def test_no_weighted_copy_of_x(self):
@@ -224,13 +230,14 @@ class TestStackedSteps:
         P = np.stack(update_p(ens, E), axis=-1)
         S = P.sum(axis=-1)
         w = update_w(stack, S, 1e-8)
-        risk = objective(ens, E)
+        risk = objective(ens, E, stack)
         for j, part in enumerate(parts):
-            e = residuals(W[j], part)
-            assert np.array_equal(E[j], e)
-            assert np.array_equal(P[j], np.stack(update_p(ens, e), axis=-1))
-            assert np.array_equal(w[j], update_w(part, S[j], 1e-8))
-            assert risk[j] == objective(ens, e)
+            lone = FoldStack.of(part)
+            e = residuals(W[j:j + 1], lone)
+            assert np.array_equal(E[j], e[0])
+            assert np.array_equal(P[j], np.stack(update_p(ens, e[0]), axis=-1))
+            assert np.array_equal(w[j], update_w(lone, S[j:j + 1], 1e-8)[0])
+            assert risk[j] == objective(ens, e, lone)[0]
 
     def test_nonfinite_fold_gets_nan_alone(self):
         parts, stack = self._stack(3, 5, 2, seed=1)
@@ -242,7 +249,7 @@ class TestStackedSteps:
                 w = update_w(stack, s, 1e-8)
         assert np.all(np.isnan(w[1]))
         for j in (0, 2):
-            assert np.array_equal(w[j], update_w(parts[j], s[j], 1e-8))
+            assert np.array_equal(w[j], update_w(FoldStack.of(parts[j]), s[j:j + 1], 1e-8)[0])
 
     @given(losses=st.lists(st.sampled_from(_SPEC_POOL), min_size=1, max_size=7, unique=True),
            seed=st.integers(0, 2**16))
@@ -283,19 +290,22 @@ class TestStackedSteps:
 
 class TestObjective:
     def test_perfect_fit(self):
-        ds = Dataset(X=[[1.0], [2.0]], y=[3.0, 6.0])
-        assert objective(EnsembleSpec((LossSpec("l1l2"),)), residuals([3.0], ds)) == 0.0
+        stack = FoldStack.of(Dataset(X=[[1.0], [2.0]], y=[3.0, 6.0]))
+        risk = objective(EnsembleSpec((LossSpec("l1l2"),)), residuals([[3.0]], stack), stack)
+        assert risk.shape == (1,) and risk[0] == 0.0
 
     def test_single_sample_closed_form(self):
-        ds = Dataset(X=[[1.0]], y=[math.sqrt(3.0)])
-        assert_allclose(objective(EnsembleSpec((LossSpec("l1l2"),)), residuals([0.0], ds)),
-                        1.0, rtol=1e-12)
+        stack = FoldStack.of(Dataset(X=[[1.0]], y=[math.sqrt(3.0)]))
+        assert_allclose(objective(EnsembleSpec((LossSpec("l1l2"),)),
+                                  residuals([[0.0]], stack), stack),
+                        [1.0], rtol=1e-12)
 
     def test_sum_over_losses(self):
-        ds = Dataset(X=[[1.0], [1.0]], y=[0.0, math.sqrt(3.0)])
+        stack = FoldStack.of(Dataset(X=[[1.0], [1.0]], y=[0.0, math.sqrt(3.0)]))
         ens = EnsembleSpec((LossSpec("l1l2"), LossSpec("logcosh")))
         expected = 1.0 + math.log(math.cosh(math.sqrt(3.0)))
-        assert_allclose(objective(ens, residuals([0.0], ds)), expected, rtol=1e-12)
+        assert_allclose(objective(ens, residuals([[0.0]], stack), stack), [expected],
+                        rtol=1e-12)
 
 
 class TestFit:
@@ -372,7 +382,7 @@ class TestFit:
     def test_ols_reduction_with_frozen_ones(self):
         for seed in range(10):
             ds = _random_ds(50, 5, seed)
-            w = update_w(ds, np.ones(50), 1e-12)
+            w = update_w(FoldStack.of(ds), np.ones((1, 50)), 1e-12)[0]
             assert np.max(np.abs(w - ols_oracle(ds.X, ds.y))) <= 1e-6
 
     def test_all_redescended_raises(self):
@@ -419,14 +429,14 @@ class TestFit:
         # its w is NaN; fold 1's factorization is made to fail
         from relf import linalg
         from relf.exceptions import FactorizationError
-        solve = linalg._cholesky_solve
+        factor = linalg.dpotrf
 
-        def fail_on_nonzero_rhs(M, b, alpha):
-            if np.any(b):
+        def fail_unless_zeroed(M, **kwargs):  # a zeroed system is alpha I
+            if np.any(M > 1e-6):
                 raise FactorizationError("forced")
-            return solve(M, b, alpha)
+            return factor(M, **kwargs)
 
-        monkeypatch.setattr(linalg, "_cholesky_solve", fail_on_nonzero_rhs)
+        monkeypatch.setattr(linalg, "dpotrf", fail_unless_zeroed)
         overflowing = np.column_stack([np.arange(5) * 1e300, np.ones(5)])
         plain = np.column_stack([np.arange(5.0), np.ones(5)])
         stack = FoldStack(np.stack([overflowing, plain]),
