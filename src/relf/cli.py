@@ -152,10 +152,11 @@ def cmd_predict(args) -> int:
         header, columns = "prediction", [yhat.tolist()]
         if y is not None:
             header, columns = "prediction,label", columns + [y.tolist()]
-        # repr floats never need quoting; "\r\n" ends rows as csv.writer does
-        lines = [header] + [",".join(map(repr, row)) for row in zip(*columns)]
+        # repr floats never need quoting; "\r\n" ends rows as csv.writer does;
+        # row by row, so that no list of all the lines is held
         with open(args.output, "w", newline="") as fh:
-            fh.write("\r\n".join(lines) + "\r\n")
+            fh.write(header + "\r\n")
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*columns))
         print(f"predictions: {args.output} ({len(yhat)} rows)")
     else:
         for value in yhat:

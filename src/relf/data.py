@@ -182,9 +182,31 @@ class Preprocessing:
         return cls(fit_scaler(ds) if scale else None, intercept)
 
     def apply(self, ds: Dataset) -> Dataset:
-        if self.scaler is not None:
-            ds = apply_scaler(ds, self.scaler)
-        return add_intercept(ds) if self.intercept else ds
+        """``ds`` with its features mapped, written into one new (n, d +
+        intercept) array; ``ds`` itself for the identity.  A scaler fitted
+        for other than ``ds.d`` columns raises
+        :class:`DimensionMismatchError`, an intercept on a dataset that has
+        one :class:`DoubleInterceptError`, in that order."""
+        if self.scaler is None and not self.intercept:
+            return ds
+        X = np.empty((ds.n, ds.d + self.intercept))
+        if self.scaler is None:
+            X[:, :ds.d] = ds.X
+        else:
+            lo = np.asarray(self.scaler.feature_min, dtype=float)
+            hi = np.asarray(self.scaler.feature_max, dtype=float)
+            if lo.shape != (ds.d,) or hi.shape != (ds.d,):
+                raise DimensionMismatchError(
+                    f"scaler fitted for {lo.shape[0]} columns, dataset has {ds.d}")
+            minmax_map(ds.X, lo, hi, out=X[:, :ds.d])
+        names = ds.feature_names
+        if self.intercept:
+            if ds.has_intercept:
+                raise DoubleInterceptError("dataset already has an intercept column")
+            X[:, ds.d] = 1.0
+            names = names + ("intercept",) if names else None
+        return Dataset(X=X, y=ds.y, feature_names=names,
+                       has_intercept=ds.has_intercept or self.intercept)
 
     def to_dict(self) -> dict:
         return {"intercept": self.intercept, "scaler": None if self.scaler is None else {
@@ -269,7 +291,9 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
 
     The data rows are parsed in one call to numpy's C parser.  Only a file
     it refuses is parsed again cell by cell, which either accepts it too or
-    names the first bad cell.
+    names the first bad cell.  ``X`` and ``y`` are C-contiguous arrays that
+    own their memory: the file's bytes are freed once parsed, and the
+    parsed table once split into them.
     """
     try:
         with open(path, "rb") as fh:
@@ -285,6 +309,7 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
             parsed = _parse_checked(_text(raw), path, label_column, has_header)
     except UnicodeDecodeError as exc:
         raise DataIOError.undecodable(path, exc) from None
+    del raw  # free the file's bytes before X is split off the table
     header, rows = parsed
     return _split_label(rows, header, label_column)
 
@@ -386,30 +411,76 @@ def _split_label(rows: np.ndarray, header, label_column) -> Dataset:
     if header is not None and len(header) > width:
         raise RaggedRowsError(
             f"header line has {len(header)} cells, data rows have {width}")
-    mask = np.ones(width, dtype=bool)
-    mask[label_idx] = False
     names = None if header is None else tuple(
         h for j, h in enumerate(header) if j != label_idx)
-    return Dataset(X=rows[:, mask], y=rows[:, label_idx], feature_names=names)
+    # copies, so that no view keeps the whole table alive
+    return Dataset(X=np.delete(rows, label_idx, axis=1), y=rows[:, label_idx].copy(),
+                   feature_names=names)
 
 
 def load_libsvm(path) -> Dataset:
     """Load sparse ``label idx:val ...`` text; indices are 1-based.
 
-    The feature count is the largest index seen; omitted entries are zero.
+    The feature count is the largest index seen; omitted entries are zero,
+    and of an index repeated on one line the last value counts.  A file in
+    the plain grammar of :data:`_LIBSVM_PLAIN` is parsed in bulk; any
+    other file token by token, which either accepts it too or names the
+    first bad token.
     """
     try:
         with open(path) as fh:
-            raw = fh.readlines()
+            text = fh.read()
     except OSError as exc:
         raise DataIOError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataIOError.undecodable(path, exc) from None
 
+    import re  # json has loaded it: a local import keeps relf's import list as it is
+
+    parsed = _parse_libsvm_bulk(text) if re.fullmatch(_LIBSVM_PLAIN, text) else None
+    X, y = parsed if parsed is not None else _parse_libsvm_checked(text.split("\n"))
+    if y.size == 0:
+        raise EmptyFileError(f"{path} holds no data lines")
+    return Dataset(X=X, y=y)
+
+
+# Lines of printable ASCII tokens separated by spaces or tabs: a label,
+# then ``idx:val`` pairs whose index is a positive decimal integer below
+# 2**53.  The labels and values are still read by float(), as the token
+# by token parse reads them.
+_LIBSVM_TOKEN = r"[!-9;-~]+"  # printable ASCII but ":"
+_LIBSVM_LINE = (rf"[ \t]*(?:{_LIBSVM_TOKEN}(?:[ \t]+[1-9][0-9]{{0,14}}:{_LIBSVM_TOKEN})*"
+                rf"[ \t]*)?")
+_LIBSVM_PLAIN = rf"(?:{_LIBSVM_LINE}\n)*{_LIBSVM_LINE}"
+
+
+def _parse_libsvm_bulk(text: str):
+    """``(X, y)`` of ``text`` in the plain grammar, or None if float()
+    refuses a label or value."""
+    pairs = np.array([line.count(":") for line in text.split("\n") if line.strip()],
+                     dtype=np.intp)
+    numbers = text.replace(":", " ").split()  # per line: label, idx, val, idx, val, ...
+    try:
+        values = np.fromiter(map(float, numbers), float, len(numbers))
+    except ValueError:
+        return None
+    is_label = np.zeros(values.size, dtype=bool)
+    is_label[np.cumsum(2 * pairs + 1) - (2 * pairs + 1)] = True
+    idx, val = values[~is_label].reshape(-1, 2).T
+    X = np.zeros((pairs.size, int(idx.max()) if idx.size else 0))
+    flat = np.repeat(np.arange(pairs.size) * X.shape[1] - 1, pairs) + idx.astype(np.intp)
+    last = flat.size - 1 - np.unique(flat[::-1], return_index=True)[1]
+    np.put(X, flat[last], val[last])  # the last value of a repeated index
+    return X, values[is_label]
+
+
+def _parse_libsvm_checked(lines):
+    """``(X, y)`` of ``lines`` parsed token by token, each line numbered
+    from 1; the loader's token errors name the first bad token."""
     labels: list[float] = []
     rows: list[dict[int, float]] = []
     d = 0
-    for lineno, line in enumerate(raw, start=1):
+    for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens:
             continue
@@ -439,13 +510,11 @@ def load_libsvm(path) -> Dataset:
             d = max(d, idx)
         rows.append(entries)
 
-    if not rows:
-        raise EmptyFileError(f"{path} holds no data lines")
     X = np.zeros((len(rows), d))
     for i, entries in enumerate(rows):
         for idx, val in entries.items():
             X[i, idx - 1] = val
-    return Dataset(X=X, y=np.asarray(labels))
+    return X, np.asarray(labels, dtype=float)
 
 
 def save_libsvm(ds: Dataset, path) -> None:
@@ -468,9 +537,10 @@ def fit_scaler(ds: Dataset) -> ScalerState:
     return ScalerState(feature_min=ds.X.min(axis=0), feature_max=ds.X.max(axis=0))
 
 
-def minmax_map(values, lo, hi):
+def minmax_map(values, lo, hi, out=None):
     """Map ``values`` onto [-1, 1] by ``lo``/``hi`` (broadcast against
-    them); where ``hi/2 == lo/2`` the result is 0.
+    them); where ``hi/2 == lo/2`` the result is 0.  The result is written
+    into ``out`` if given, else into a new array.
 
     Halving first keeps every step finite for values in ``[lo, hi]``.  It
     is exact from twice the smallest normal up, where the result has the
@@ -479,13 +549,14 @@ def minmax_map(values, lo, hi):
     raises :class:`DataError`."""
     span = hi / 2 - lo / 2
     with np.errstate(over="ignore"):  # an overflow is named below
-        out = values / 2  # then in place, on one array of the result's size
+        out = np.divide(values, 2, out=out)  # then in place, on the result
         out -= lo / 2
         out /= np.where(span > 0, span, 1.0)
         out *= 2.0
     out += -1.0
     np.copyto(out, 0.0, where=~(span > 0))
-    bad = np.isinf(out) & np.isfinite(values)
+    bad = np.isinf(out)
+    bad &= np.isfinite(values)
     if bad.any():
         i = tuple(np.argwhere(bad)[0])
         lo_i, hi_i = (float(np.broadcast_to(a, out.shape)[i]) for a in (lo, hi))
@@ -500,23 +571,12 @@ def apply_scaler(ds: Dataset, state: ScalerState) -> Dataset:
     Training extrema map to exactly -1/+1; constant columns map to 0;
     unseen values extrapolate linearly outside [-1, 1].
     """
-    lo = np.asarray(state.feature_min, dtype=float)
-    hi = np.asarray(state.feature_max, dtype=float)
-    if lo.shape != (ds.d,) or hi.shape != (ds.d,):
-        raise DimensionMismatchError(
-            f"scaler fitted for {lo.shape[0]} columns, dataset has {ds.d}")
-    X = minmax_map(ds.X, lo[None, :], hi[None, :])
-    return Dataset(X=X, y=ds.y, feature_names=ds.feature_names,
-                   has_intercept=ds.has_intercept)
+    return Preprocessing(state).apply(ds)
 
 
 def add_intercept(ds: Dataset) -> Dataset:
     """Append a constant 1.0 column (named ``"intercept"``)."""
-    if ds.has_intercept:
-        raise DoubleInterceptError("dataset already has an intercept column")
-    X = np.hstack([ds.X, np.ones((ds.n, 1))])
-    names = ds.feature_names + ("intercept",) if ds.feature_names else None
-    return Dataset(X=X, y=ds.y, feature_names=names, has_intercept=True)
+    return Preprocessing(intercept=True).apply(ds)
 
 
 def synth_line(noise: NoiseConfig | None = None) -> Dataset:

@@ -47,11 +47,23 @@ from . import linalg
 
 def error_metrics(err) -> tuple:
     """``(mae, rmse)`` of the errors ``err`` over its last axis:
-    ``mean |e|`` and ``sqrt(mean e^2)``.  A square past the float range
-    gives an ``inf`` rmse without a numpy warning."""
+    ``mean |e|`` and ``sqrt(mean e^2)``, finite for finite errors.  Where
+    such a statistic overflows (a sum or a square past the float range),
+    it is taken of the errors divided by their largest magnitude, then
+    scaled back; every finite one keeps the plain formula's bits."""
     err = np.asarray(err, dtype=float)
     with np.errstate(over="ignore"):
-        return np.mean(np.abs(err), axis=-1), np.sqrt(np.mean(err ** 2, axis=-1))
+        mae, rmse = np.mean(np.abs(err), axis=-1), np.sqrt(np.mean(err ** 2, axis=-1))
+    if np.isfinite(mae).all() and np.isfinite(rmse).all():
+        return mae, rmse
+    big = np.max(np.abs(err), axis=-1, initial=0.0)
+    keep = ~np.isfinite(big)  # a non-finite error: its statistics stay as they are
+    with np.errstate(invalid="ignore"):  # 0/0 and inf/inf, of statistics kept
+        unit = err / big[..., None]
+        mae = np.where(keep | np.isfinite(mae), mae, big * np.mean(np.abs(unit), axis=-1))
+        rmse = np.where(keep | np.isfinite(rmse), rmse,
+                        big * np.sqrt(np.mean(unit ** 2, axis=-1)))
+    return mae[()], rmse[()]
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,8 @@ def objective(ensemble: EnsembleSpec, e, stack: FoldStack) -> np.ndarray:
     residuals ``e`` of ``stack`` (see :func:`residuals`): one risk per fold
     over the fold's own rows, (k,); ``inf`` once a sum overflows."""
     e = np.asarray(e, dtype=float)
+    if e.shape != stack.y.shape:
+        raise DimensionMismatchError(f"e has shape {e.shape}, expected {stack.y.shape}")
     risk = np.zeros(stack.k)
     for spec in ensemble.losses:  # one loss's terms alive at a time
         terms = phi(spec, e)

@@ -186,6 +186,25 @@ class TestPredictCommand:
             "error: scaling 10000000000.0 by the training range [0.0, 1e-300] "
             "overflows the float range\n")
 
+    def test_metrics_of_huge_finite_errors_are_finite(self, tmp_path, capsys):
+        train = tmp_path / "line.csv"
+        train.write_text("x,y\n0,0\n1,1\n2,2\n")
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--data", str(train), "--label-column", "y",
+                     "--output", str(model_path)]) == 0
+        far = tmp_path / "far.csv"
+        far.write_text("x,y\n0,1e308\n1,-1e308\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["predict", "--model", str(model_path), "--data", str(far),
+                         "--label-column", "y"])
+        out = capsys.readouterr().out
+        assert code == 0
+        metrics = dict(line.split(": ") for line in out.splitlines()
+                       if line.startswith(("mae:", "rmse:")))
+        assert 0.99e308 < float(metrics["mae"]) <= float(metrics["rmse"]) <= 1e308
+
     def test_label_free_csv(self, tmp_path, capsys):
         _, model_path = self._fit_model(tmp_path, capsys)
         feats = tmp_path / "xonly.csv"

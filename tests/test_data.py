@@ -1,3 +1,7 @@
+import contextlib
+import io
+import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,18 +11,23 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from relf import (
+    DEFAULT_ENSEMBLE_TEXT,
     Dataset,
     NoiseConfig,
+    Preprocessing,
     add_intercept,
     apply_scaler,
+    fit,
     fit_scaler,
     inject_outliers,
     load_csv,
     load_libsvm,
+    parse_ensemble,
     save_libsvm,
     synth_line,
 )
-from relf.data import NOISE_GAUSSIAN, NOISE_OUTLIER, minmax_map
+from relf.cli import main
+from relf.data import NOISE_GAUSSIAN, NOISE_OUTLIER, _parse_libsvm_checked, minmax_map
 from relf.exceptions import (
     DataError,
     DataIOError,
@@ -29,6 +38,7 @@ from relf.exceptions import (
     NonPositiveIndexError,
     ParseError,
     RaggedRowsError,
+    RelfError,
 )
 
 from oracles import csv_rows_oracle
@@ -186,6 +196,56 @@ def _libsvm_datasets(draw):
     return Dataset(X=X, y=np.array([draw(_finite_floats()) for _ in range(n)]))
 
 
+_SVM_NUMBERS = ["1", "-2.5", "+.5", "3.", "1e3", "-0.0", "7E-2", "0", "123456.789"]
+_SVM_ODD = ["1e400", "x", "nan", "-inf", "1_0", "0x1p3", "\u0661", "", "1.2.3", "--1", "1e"]
+
+
+@st.composite
+def _libsvm_texts(draw):
+    """Text in the loader's plain grammar, or, half of the time, with odd
+    tokens, indices, separators and blank lines mixed in."""
+    odd = draw(st.booleans())
+
+    def pick(plain, strange):
+        return st.sampled_from(plain * 4 + strange if odd else plain)
+
+    number = pick(_SVM_NUMBERS, _SVM_ODD)
+    index = st.one_of(st.integers(1, 6).map(str),
+                      pick(["2"], ["0", "-1", "+2", "01", "1_0", "a", "", "9" * 16]))
+    pair = st.one_of(st.builds("{}:{}".format, index, number),
+                     pick(["4:1"], ["12", "1:2:3", ":", "3:"]))
+    space = pick([" ", "\t", "  "], ["\x0b", "\x1c", "\xa0"])
+    blank = pick(["", " ", "\t"], ["\x0c", "\u2028"])
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(blank))
+            continue
+        tokens = [draw(number)] + draw(st.lists(pair, max_size=5))
+        line = "".join(draw(space) + t for t in tokens)
+        lines.append(line if draw(st.booleans()) else line.lstrip())
+    end = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    return "".join(line + draw(end) for line in lines[:-1]) + \
+        (lines[-1] + draw(st.sampled_from(["", "\n"])) if lines else "")
+
+
+def _load_libsvm_checked(path):
+    """``load_libsvm`` with every file parsed token by token."""
+    with open(path) as fh:
+        X, y = _parse_libsvm_checked(fh.readlines())
+    if y.size == 0:
+        raise EmptyFileError(f"{path} holds no data lines")
+    return Dataset(X=X, y=y)
+
+
+def _outcome(load, path):
+    try:
+        ds = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ds.X.shape, ds.X.tobytes(), ds.y.tobytes()
+
+
 class TestLoadCsvOracle:
     """``load_csv`` against ``csv.reader`` + one ``float()`` per cell."""
 
@@ -260,6 +320,77 @@ class TestLoadCsvOracle:
             load_csv(path, "y")
 
 
+def _owns_c_array(a) -> bool:
+    return a.base is None and a.flags.c_contiguous
+
+
+class TestLoadCsvMemory:
+    """``load_csv`` keeps one copy of the data, ``Preprocessing.apply``
+    writes one more."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(2, 40), st.integers(1, 4), st.data())
+    def test_arrays_own_their_memory_and_fit_like_copies(self, tmp_path, n, width, data):
+        values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+        table = np.array(data.draw(st.lists(values, min_size=n * width,
+                                            max_size=n * width))).reshape(n, width)
+        label_idx = data.draw(st.integers(0, width - 1))
+        path = tmp_path / "t.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in table.tolist()))
+        ds = load_csv(path, label_idx, has_header=False)
+        assert _owns_c_array(ds.X) and _owns_c_array(ds.y)
+        try:
+            want = fit(Dataset(ds.X.copy(), ds.y.copy()), parse_ensemble(DEFAULT_ENSEMBLE_TEXT)).w
+        except RelfError:
+            want = None
+        model = tmp_path / "model.json"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["fit", "--data", str(path), "--label-column", str(label_idx),
+                         "--no-header", "--no-intercept", "--output", str(model)])
+        if want is None:
+            assert code != 0
+        else:
+            assert code == 0
+            w = np.array(json.loads(model.read_text())["w"])
+            assert w.tobytes() == want.tobytes()
+
+    @pytest.fixture
+    def big_csv(self, tmp_path):
+        # 20 000 x 20 features plus the label, in %.6f form
+        rng = np.random.default_rng(4)
+        path = tmp_path / "big.csv"
+        np.savetxt(path, rng.uniform(-50.0, 50.0, size=(20_000, 21)), fmt="%.6f",
+                   delimiter=",", header=",".join([f"x{j}" for j in range(20)] + ["y"]),
+                   comments="")
+        load_csv(path, "y")  # once untraced, so one-time imports and caches are not counted
+        return path
+
+    def test_load_holds_only_x_and_y(self, big_csv):
+        tracemalloc.start()
+        try:
+            ds = load_csv(big_csv, "y")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ds.X.shape == (20_000, 20)
+        assert held <= 1.1 * (ds.X.nbytes + ds.y.nbytes)
+
+    def test_apply_writes_one_design(self, big_csv):
+        tracemalloc.start()
+        try:
+            ds = load_csv(big_csv, "y")
+            pre = Preprocessing.fit(ds, scale=True, intercept=True)
+            tracemalloc.reset_peak()
+            work = pre.apply(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert work.X.shape == (20_000, 21) and _owns_c_array(work.X)
+        # ds (X and y) stays alive: about 1 + 1 design, plus small temporaries
+        assert peak <= 2.5 * work.X.nbytes
+
+
 class TestLibsvm:
     def test_format_definition(self, tmp_path):
         path = tmp_path / "d.svm"
@@ -302,6 +433,25 @@ class TestLibsvm:
         back = load_libsvm(path)
         assert np.array_equal(back.X, ds.X)
         assert np.array_equal(back.y, ds.y)
+
+    def test_plain_files_skip_the_token_parse(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("token-by-token parse ran")
+        monkeypatch.setattr("relf.data._parse_libsvm_checked", refuse)
+        path = tmp_path / "d.svm"
+        path.write_bytes(b"\r\n 1.5\t1:2  3:4 1:-0.0 \r\n\t\n-5e-1 2:1e3\n7\n")
+        ds = load_libsvm(path)
+        assert ds.X.tobytes() == np.array([[-0.0, 0.0, 4.0], [0.0, 1000.0, 0.0],
+                                           [0.0, 0.0, 0.0]]).tobytes()
+        assert ds.y.tolist() == [1.5, -0.5, 7.0]
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_libsvm_texts())
+    def test_matches_the_token_parse(self, tmp_path, text):
+        path = tmp_path / "fuzz.svm"
+        path.write_bytes(text.encode())
+        assert _outcome(load_libsvm, path) == _outcome(_load_libsvm_checked, path)
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -85,11 +85,32 @@ class TestMetrics:
             assert mae[i, j] == np.mean(np.abs(err[i, j]))
             assert rmse[i, j] == np.sqrt(np.mean(err[i, j] ** 2))
 
-    def test_overflowing_square_is_inf_without_warning(self):
+    def test_overflowing_square_gives_a_finite_rmse_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mae, rmse = error_metrics([1e200, -1e200])
-        assert mae == 1e200 and rmse == np.inf
+        assert mae == 1e200 and rmse == 1e200
+
+    def test_overflowing_sum_gives_a_finite_mae(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mae, rmse = error_metrics([1e308, -1e308])
+        assert mae == 1e308 and rmse == 1e308
+
+    def test_only_the_overflowing_statistic_is_rescaled(self):
+        err = np.array([[3e200, -1e200, 2e200], [1.0, -2.0, 0.5], [1e308, 1e308, 1e308],
+                        [np.inf, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mae, rmse = error_metrics(err)
+        with np.errstate(over="ignore"):
+            plain_mae = np.mean(np.abs(err), axis=-1)
+            plain_rmse = np.sqrt(np.mean(err ** 2, axis=-1))
+        assert mae[[0, 1, 3, 4]].tobytes() == plain_mae[[0, 1, 3, 4]].tobytes()
+        assert rmse[[1, 3, 4]].tobytes() == plain_rmse[[1, 3, 4]].tobytes()
+        assert mae[2] == rmse[2] == 1e308
+        assert_allclose(rmse[0], 1e200 * np.sqrt(14 / 3), rtol=1e-15)
+        assert mae[3] == rmse[3] == np.inf  # a non-finite error is not rescaled
 
 
 class TestKfold:
@@ -510,8 +531,8 @@ class TestRunBenchmark:
         }
 
     def test_nonfinite_metrics_fail_the_cell(self, tmp_path):
-        # OLS on the "nonfinite" set at level 0.3 predicts ~1e299, whose
-        # squared test errors overflow
+        # OLS on the "nonfinite" set at level 0.3 predicts ~1e299: each
+        # fold's MAE and RMSE is finite, but their spread overflows
         manifest = {**_isolation_manifest(tmp_path), "methods": ["ols"]}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -519,7 +540,7 @@ class TestRunBenchmark:
         assert [str(w.message) for w in caught] == []
         cells = {(c["dataset"], c["contamination"]): c for c in report.cells}
         assert cells["nonfinite", 0.3]["error"] == (
-            "DataError: mean_rmse of the test errors overflows the float range")
+            "DataError: std_mae of the test errors overflows the float range")
         assert cells["nonfinite", 0.0]["error"] is None
         assert cells["nonfinite", 0.1]["error"] is None
         assert [r["contamination"] for r in report.ratios if r["dataset"] == "nonfinite"] == [0.1]

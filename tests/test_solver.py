@@ -307,6 +307,14 @@ class TestObjective:
         assert_allclose(objective(ens, residuals([[0.0]], stack), stack), [expected],
                         rtol=1e-12)
 
+    @pytest.mark.parametrize("e", [[[1.0, 2.0, 3.0, 100.0]], [[1.0, 2.0, 3.0]] * 2,
+                                   [1.0, 2.0, 3.0]])
+    def test_residuals_must_be_shaped_like_the_labels(self, e):
+        stack = FoldStack.of(Dataset(X=np.ones((3, 1)), y=[1.0, 2.0, 3.0]))
+        ens = parse_ensemble("welsch,l1l2")
+        with pytest.raises(DimensionMismatchError, match=r"expected \(1, 3\)$"):
+            objective(ens, e, stack)
+
 
 class TestFit:
     @pytest.mark.parametrize("kind", KINDS)
