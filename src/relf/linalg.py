@@ -3,12 +3,12 @@
 Right-hand sides are float64 stacks ``(k, d)`` with symmetric matrices
 ``(k, d, d)`` to match; NaN/Inf are rejected at this entry point.
 Everything downstream of the solver funnels its linear solves through here.
+numpy's batched ``linalg`` routines do the work, one LAPACK call per system.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .exceptions import DimensionMismatchError, FactorizationError
 
@@ -20,17 +20,20 @@ def solve_spd_with_jitter(A, b, alpha: float) -> np.ndarray:
     """Solve ``(A_j + alpha I) w_j = b_j`` by Cholesky for each symmetric
     PSD ``A_j`` of the stack ``A`` (k, d, d), with ``b`` (k, d).
 
-    Each system is factored by LAPACK ``dpotrf`` and solved by ``dpotrs``,
-    the routines behind scipy's ``cho_factor``/``cho_solve``.  ``alpha`` is
-    floored at ``MIN_JITTER`` so the shifted matrix is strictly positive
-    definite whenever ``A_j`` is PSD.  Each solution satisfies
-    ``||(A_j + alpha I) w_j - b_j||_inf <= 1e-8 * (1 + ||b_j||_inf)`` on
-    reasonably conditioned systems (d up to a few hundred).
+    ``np.linalg.cholesky`` factors the whole stack as ``L_j L_j^T`` from
+    each lower triangle, and two batched ``np.linalg.solve`` calls, on
+    ``L`` and on ``L^T``, give the solutions.  numpy runs one LAPACK call
+    per system, so each system of a stack gets the bits of its lone solve.
+    ``alpha`` is floored at ``MIN_JITTER`` so the shifted matrix is
+    strictly positive definite whenever ``A_j`` is PSD.  Each solution
+    satisfies ``||(A_j + alpha I) w_j - b_j||_inf <= 1e-8 * (1 + ||b_j||_inf)``
+    on reasonably conditioned systems (d up to a few hundred).
 
     Raises
     ------
     FactorizationError
-        If a factorization still fails (``A_j`` indefinite or badly broken).
+        If a factorization still fails (``A_j`` indefinite or badly
+        broken); the message names the first such system and the jitter.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -42,14 +45,22 @@ def solve_spd_with_jitter(A, b, alpha: float) -> np.ndarray:
         raise DimensionMismatchError(f"A {A.shape} incompatible with b {b.shape}")
     if not np.all(np.isfinite(A)):
         raise DimensionMismatchError("A contains NaN/Inf")
+    if not A.shape[-1]:
+        return np.zeros_like(b)  # a system of 0 columns has the empty solution
     alpha = max(float(alpha), MIN_JITTER)
     M = A + alpha * np.eye(A.shape[-1])
-    w = np.zeros_like(b)  # a system of 0 columns has the empty solution
-    for j in range(len(M) if M.shape[-1] else 0):
-        c, info = dpotrf(M[j], lower=True, clean=False)
-        if info > 0:
-            raise FactorizationError(
-                f"Cholesky failed at jitter alpha={alpha:g}: "
-                f"{info}-th leading minor of the array is not positive definite")
-        w[j] = dpotrs(c, b[j], lower=True)[0]
-    return w
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        # numpy fails the whole batch at once; name the first system at fault
+        for j, M_j in enumerate(M):
+            try:
+                np.linalg.cholesky(M_j)
+            except np.linalg.LinAlgError:
+                raise FactorizationError(
+                    f"Cholesky failed at jitter alpha={alpha:g}: system {j} of {len(M)} "
+                    "is not positive definite") from None
+        raise
+    # b as a stack of one-column matrices: numpy 2 reads a 2-D b as one matrix
+    z = np.linalg.solve(L, b[..., None])
+    return np.linalg.solve(np.swapaxes(L, -1, -2), z)[..., 0]

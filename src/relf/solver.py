@@ -16,8 +16,10 @@ minimized by alternating two closed-form steps:
       w = (sum_i s_i x_i x_i^T + alpha I)^{-1} sum_i s_i y_i x_i,
       s_i = sum_k p_ik.
 
-Both steps never increase the surrogate, hence never increase R: the
-recorded risk trace is non-increasing (up to ~1e-10 relative float slack).
+Both steps never increase the surrogate plus ``(alpha/2) |w|^2``, hence
+never increase ``R(w) + (alpha/2) |w|^2`` (up to ~1e-10 relative float
+slack).  The recorded risk R is non-increasing wherever the jitter is
+negligible against the weighted Gram; with features near 1e-3 it can rise.
 After the final iteration the ensemble weights are read off the auxiliary
 matrix as normalized column masses, ``lambda_k = sum_i p_ik / sum_jk p_jk``:
 losses that still assign large weights to the residuals they see earn a
@@ -211,7 +213,8 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
     All folds iterate in lockstep on the stacked arrays.  A fold stops once
     its risk decrease falls below ``rel_tol`` (relative, floored at 1) or at
     ``max_iters``, and is then frozen with its own iteration count.  The
-    trace records the risk after every w-step; it is non-increasing.
+    trace records the risk after every w-step; the risk plus
+    ``(alpha/2) |w|^2`` is non-increasing (see the module docstring).
     Ensemble weights come from the fold's final P.
 
     The w-step's ``s`` adds P's columns left to right, which gives the bits

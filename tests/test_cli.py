@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from relf import NoiseConfig, load_csv, load_model, predict, synth_line
-from relf.cli import main
+from relf.cli import EXIT_SOLVER, main
 from relf.data import NOISE_GAUSSIAN
 
 
@@ -143,6 +143,19 @@ class TestToyCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("solver error:")
+
+    def test_failed_factorization_is_one_solver_error_line(self, monkeypatch, capsys):
+        from relf import linalg
+
+        def indefinite(M):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(linalg.np.linalg, "cholesky", indefinite)
+        code = main(["toy", "--seed", "0"])
+        captured = capsys.readouterr()
+        assert code == EXIT_SOLVER
+        assert captured.err == ("solver error: Cholesky failed at jitter alpha=1e-08: "
+                                "system 0 of 1 is not positive definite\n")
 
 
 class TestPredictCommand:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import scipy.linalg
 
 from relf import solve_spd_with_jitter
+from relf.linalg import MIN_JITTER
 from relf.exceptions import DimensionMismatchError, FactorizationError
 
 from oracles import gauss_solve
@@ -77,19 +80,45 @@ class TestSolve:
 
 
 class TestStackedSolve:
-    """A (k, d, d) stack is solved system by system, with the numbers of
-    scipy's ``cho_factor``/``cho_solve`` on each."""
+    """A (k, d, d) stack is solved by numpy's batched routines, one LAPACK
+    call per system, so each system gets the bits of its lone solve."""
 
     @pytest.mark.parametrize("d", [1, 4, 12])
-    def test_matches_cho_solve_bit_for_bit(self, d):
+    def test_matches_cho_solve(self, d):
         A = np.stack([_random_spd(d, seed) for seed in range(5)])
         b = np.random.default_rng(d).standard_normal((5, d))
         w = solve_spd_with_jitter(A, b, 1e-8)
         for j in range(5):
             M = A[j] + 1e-8 * np.eye(d)
             ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(M, lower=True), b[j])
-            assert np.array_equal(w[j], ref)
-            assert np.array_equal(_solve_one(A[j], b[j], 1e-8), ref)
+            assert_allclose(w[j], ref, rtol=1e-12, atol=0.0)
+            assert np.max(np.abs(M @ w[j] - b[j])) <= 1e-8 * (1 + np.max(np.abs(b[j])))
+
+    @pytest.mark.parametrize("d", [1, 4, 12])
+    def test_each_system_gets_its_lone_bits(self, d):
+        # fit_folds gives each fold a lone fit's bits only if this holds
+        A = np.stack([_random_spd(d, seed) for seed in range(5)])
+        b = np.random.default_rng(d).standard_normal((5, d))
+        w = solve_spd_with_jitter(A, b, 1e-8)
+        for j in range(5):
+            assert np.array_equal(w[j], _solve_one(A[j], b[j], 1e-8))
+
+    def test_square_stack_reads_b_as_vectors(self):
+        # numpy 2's solve reads a 2-D b as one matrix, so with k == d a
+        # (k, d) b must be passed as k one-column matrices
+        A = np.stack([_random_spd(3, seed) for seed in range(3)])
+        b = np.random.default_rng(3).standard_normal((3, 3))
+        w = solve_spd_with_jitter(A, b, 1e-8)
+        for j in range(3):
+            assert np.array_equal(w[j], _solve_one(A[j], b[j], 1e-8))
+            assert_allclose(w[j], gauss_solve(A[j] + 1e-8 * np.eye(3), b[j]), rtol=1e-10)
+
+    def test_error_names_the_first_indefinite_system(self):
+        A = np.stack([_random_spd(3, seed) for seed in range(4)])
+        A[2] = np.diag([1.0, -5.0, 1.0])
+        with pytest.raises(FactorizationError,
+                           match=r"alpha=1e-08: system 2 of 4 is not positive definite"):
+            solve_spd_with_jitter(A, np.ones((4, 3)), 1e-8)
 
     def test_one_indefinite_system_fails_the_stack(self):
         A = np.stack([np.eye(2), np.array([[-5.0, 0.0], [0.0, 1.0]])])
@@ -105,3 +134,41 @@ class TestStackedSolve:
             solve_spd_with_jitter(np.ones((1, 1, 2, 2)), np.ones((1, 1, 2)), 1e-8)
         with pytest.raises(DimensionMismatchError):  # one system needs a stack of one
             solve_spd_with_jitter(np.eye(2), np.ones(2), 1e-8)
+
+
+@st.composite
+def _spd_stacks(draw):
+    """``(A, b, alpha)``: a stack of k symmetric positive definite d x d
+    systems, each scaled by its own magnitude in [1e-3, 1e3], and the
+    right-hand sides likewise."""
+    k, d = draw(st.integers(1, 12)), draw(st.integers(0, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    magnitude = st.floats(1e-3, 1e3)
+    a_scale = np.array([draw(magnitude) for _ in range(k)])
+    b_scale = np.array([draw(magnitude) for _ in range(k)])
+    G = rng.standard_normal((k, d, d))
+    A = a_scale[:, None, None] * (G.swapaxes(-1, -2) @ G + np.eye(d))
+    b = b_scale[:, None] * rng.standard_normal((k, d))
+    return A, b, draw(st.floats(0.0, 1.0))
+
+
+class TestSolveProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_spd_stacks())
+    def test_residual_contract(self, case):
+        A, b, alpha = case
+        w = solve_spd_with_jitter(A, b, alpha)
+        assert w.shape == b.shape
+        if b.shape[1] == 0:  # a system of 0 columns has the empty solution
+            return
+        shifted = A + max(alpha, MIN_JITTER) * np.eye(A.shape[-1])
+        resid = np.max(np.abs(shifted @ w[..., None] - b[..., None]), axis=(1, 2))
+        assert np.all(resid <= 1e-8 * (1 + np.max(np.abs(b), axis=1)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_spd_stacks())
+    def test_each_system_gets_its_lone_bits(self, case):
+        A, b, alpha = case
+        w = solve_spd_with_jitter(A, b, alpha)
+        for j in range(len(A)):
+            assert np.array_equal(w[j], _solve_one(A[j], b[j], alpha))
