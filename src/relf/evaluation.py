@@ -115,14 +115,25 @@ def ols_fit(stack: FoldStack, ridge_alpha: float = 0.0) -> np.ndarray:
     ``ridge_alpha`` is passed straight to the jittered SPD solve, so 0
     still gets the 1e-12 stability floor; large values shrink ``w`` to 0.
     """
-    A = np.empty((stack.k, stack.d, stack.d))
-    b = np.empty((stack.k, stack.d, 1))
-    for folds, count in stack.runs:
-        X, y = stack.X[folds, :count], stack.y[folds, :count]
+    return _least_squares(stack, stack.y[None], ridge_alpha)[0]
+
+
+def _least_squares(train: FoldStack, labels, ridge_alpha: float) -> np.ndarray:
+    """:func:`ols_fit` for each of the L label stacks ``labels`` (L, k,
+    rows) of ``train``'s folds, (L, k, d).  Each fold's Gram ``X^T X`` is
+    formed once for all L; every level's system gets the bits of its lone
+    solve."""
+    labels = np.asarray(labels, dtype=float)
+    A = np.empty((train.k, train.d, train.d))
+    b = np.empty((len(labels), train.k, train.d, 1))
+    for folds, count in train.runs:
+        X = train.X[folds, :count]
         A[folds] = X.transpose(0, 2, 1) @ X
-        b[folds] = X.transpose(0, 2, 1) @ y[..., None]
+        b[:, folds] = X.transpose(0, 2, 1) @ labels[:, folds, :count, None]
     A = 0.5 * (A + A.transpose(0, 2, 1))
-    return linalg.solve_spd_with_jitter(A, b[..., 0], ridge_alpha)
+    A = np.broadcast_to(A, (len(labels),) + A.shape).reshape(-1, train.d, train.d)
+    w = linalg.solve_spd_with_jitter(A, b.reshape(-1, train.d), ridge_alpha)
+    return w.reshape(b.shape[:3])
 
 
 @dataclass(frozen=True)
@@ -133,9 +144,15 @@ class RelfMethod:
     config: SolverConfig = field(default_factory=SolverConfig)
     label: str = "relf"
 
-    def fold_weights(self, stack: FoldStack) -> np.ndarray:
-        """One ``w`` per fold of ``stack``, (k, d)."""
-        return np.stack([m.w for m in fit_folds(stack, self.ensemble, self.config)])
+    def fold_weights(self, train: FoldStack, labels) -> np.ndarray:
+        """One ``w`` per fold of ``train`` and label stack of ``labels``
+        (L, k, rows), (L, k, d): the L levels' folds are fitted in one
+        solver loop on an (L*k, rows, d) stack."""
+        levels = len(labels)
+        stack = FoldStack(np.concatenate([train.X] * levels), np.concatenate(labels),
+                          np.tile(train.counts, levels))
+        w = np.stack([m.w for m in fit_folds(stack, self.ensemble, self.config)])
+        return w.reshape(levels, train.k, train.d)
 
 
 @dataclass(frozen=True)
@@ -145,9 +162,10 @@ class LeastSquaresMethod:
     ridge_alpha: float = 1e-8
     label: str = "ols"
 
-    def fold_weights(self, stack: FoldStack) -> np.ndarray:
-        """One ``w`` per fold of ``stack``, (k, d)."""
-        return ols_fit(stack, self.ridge_alpha)
+    def fold_weights(self, train: FoldStack, labels) -> np.ndarray:
+        """One ``w`` per fold of ``train`` and label stack of ``labels``
+        (L, k, rows), (L, k, d), from one Gram per fold."""
+        return _least_squares(train, labels, self.ridge_alpha)
 
 
 def parse_method(text: str, solver_config: SolverConfig | None = None):
@@ -188,34 +206,25 @@ def parse_method(text: str, solver_config: SolverConfig | None = None):
 
 @dataclass
 class CvResult:
-    """Per-fold metrics for one method on one dataset; a :class:`DataError`
-    if a mean or std of them is not finite."""
+    """Per-fold metrics for one method on one dataset, with their mean and
+    std; a :class:`DataError` if one of those is not finite."""
 
     method: str
     fold_mae: np.ndarray
     fold_rmse: np.ndarray
+    mean_mae: float = field(init=False)
+    mean_rmse: float = field(init=False)
+    std_mae: float = field(init=False)
+    std_rmse: float = field(init=False)
 
     def __post_init__(self):
         with np.errstate(over="ignore", invalid="ignore"):
-            for name in ("mean_mae", "mean_rmse", "std_mae", "std_rmse"):
-                if not np.isfinite(getattr(self, name)):
-                    raise DataError(f"{name} of the test errors overflows the float range")
-
-    @property
-    def mean_mae(self) -> float:
-        return float(np.mean(self.fold_mae))
-
-    @property
-    def mean_rmse(self) -> float:
-        return float(np.mean(self.fold_rmse))
-
-    @property
-    def std_mae(self) -> float:
-        return float(np.std(self.fold_mae))
-
-    @property
-    def std_rmse(self) -> float:
-        return float(np.std(self.fold_rmse))
+            stats = {"mean_mae": np.mean(self.fold_mae), "mean_rmse": np.mean(self.fold_rmse),
+                     "std_mae": np.std(self.fold_mae), "std_rmse": np.std(self.fold_rmse)}
+        for name, value in stats.items():
+            if not np.isfinite(value):
+                raise DataError(f"{name} of the test errors overflows the float range")
+            setattr(self, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -298,16 +307,14 @@ def cross_validate(folds: CvFolds, method, labels=None) -> list[CvResult]:
     level (see :func:`train_labels`); by default the clean labels alone.
 
     Test folds are never touched, and the fold split is the same for every
-    level, so clean/contaminated runs compare like for like.  The L levels'
-    folds are fitted in one ``method.fold_weights`` call on an (L*k, rows,
-    d) stack; every fold sums over its own rows, so each gives the fit of
-    a lone level bit for bit.  :func:`fit_folds` orders the fit errors.
+    level, so clean/contaminated runs compare like for like.  All levels
+    are fitted in one ``method.fold_weights`` call; every fold sums over
+    its own rows, so each gives the fit of a lone level bit for bit.
+    :func:`fit_folds` orders the fit errors.
     """
     labels = [folds.train.y] if labels is None else list(labels)
-    train, test = folds.train, folds.test
-    stack = FoldStack(np.concatenate([train.X] * len(labels)), np.concatenate(labels),
-                      np.tile(train.counts, len(labels)))
-    w = method.fold_weights(stack).reshape(len(labels), train.k, -1)
+    test = folds.test
+    w = method.fold_weights(folds.train, labels)
     err = test.y - (test.X @ w[..., None])[..., 0]
     fold_mae, fold_rmse = np.empty(w.shape[:2]), np.empty(w.shape[:2])
     for run, count in test.runs:  # the mae/rmse of each fold's own rows
@@ -544,8 +551,8 @@ def _cv_cells(folds: CvFolds, method, labels) -> list[dict]:
         return [{"error": f"{type(exc).__name__}: {exc}"}]
     seconds = (time.perf_counter() - t0) / len(labels)
     return [dict(mae=res.mean_mae, rmse=res.mean_rmse, mae_std=res.std_mae,
-                 rmse_std=res.std_rmse, fold_mae=[float(v) for v in res.fold_mae],
-                 fold_rmse=[float(v) for v in res.fold_rmse], seconds=seconds)
+                 rmse_std=res.std_rmse, fold_mae=res.fold_mae.tolist(),
+                 fold_rmse=res.fold_rmse.tolist(), seconds=seconds)
             for res in results]
 
 

@@ -17,8 +17,8 @@ kind       phi(e)                            delta(e)
 =========  ================================  ==============================
 welsch     1 - exp(-e^2 / s^2)               (2/s^2) exp(-e^2 / s^2)
 l1l2       sqrt(1 + e^2) - 1                 1 / sqrt(1 + e^2)
-huber      e^2 / (4 s)      for |e| < 2 s    1 / (2 s)    for |e| < 2 s
-           |e| - s          otherwise        1 / |e|      otherwise
+huber      e^2 / (4 s)      for |e| < 2 s    1 / max(|e|, 2 s)
+           |e| - s          otherwise
 fair       s^2 (|e|/s - ln(1 + |e|/s))       1 / (1 + |e|/s)
 logcosh    ln(cosh(e))                       tanh(e) / e
 =========  ================================  ==============================
@@ -168,14 +168,28 @@ def phi(spec: LossSpec, e):
         square overflows may give ``inf``.
     """
     arr = np.asarray(e, dtype=float)
+    arr = arr.reshape(1) if arr.ndim == 0 else arr
     kind, s = spec.kind, float(spec.scale)
-    if kind == WELSCH:
-        out = -np.expm1(-(arr * arr) / (s * s))
-    elif kind == L1L2:
-        out = np.sqrt(1.0 + arr * arr) - 1.0
-    elif kind == HUBER:
-        a = np.abs(arr)
-        out = np.where(a < 2.0 * s, arr * arr / (4.0 * s), a - s)
+    # each formula's steps write into its first step's new array: a call
+    # makes one array the size of ``e``, not one per operation
+    if kind == WELSCH:  # -expm1(-e^2 / s^2)
+        out = arr * arr
+        np.negative(out, out=out)
+        out /= s * s
+        np.expm1(out, out=out)
+        np.negative(out, out=out)
+    elif kind == L1L2:  # sqrt(1 + e^2) - 1
+        out = arr * arr
+        out += 1.0
+        np.sqrt(out, out=out)
+        out -= 1.0
+    elif kind == HUBER:  # e^2 / (4s) where |e| < 2s, else |e| - s
+        out = np.abs(arr)
+        small = out < 2.0 * s
+        quad = arr * arr
+        quad /= 4.0 * s
+        out -= s
+        np.copyto(out, quad, where=small)
     elif kind == FAIR:
         r = np.abs(arr) / s
         # where |e|/s overflows, r - log1p(r) would be inf - inf
@@ -184,10 +198,12 @@ def phi(spec: LossSpec, e):
         out = (s * s) * gap
     elif kind == LOGCOSH:
         # log(cosh(e)) = logaddexp(e, -e) - log 2, stable for large |e|
-        out = np.logaddexp(arr, -arr) - np.log(2.0)
+        out = np.negative(arr)
+        np.logaddexp(arr, out, out=out)
+        out -= np.log(2.0)
     else:
         raise UnknownLossError(f"unknown loss kind {kind!r}")
-    return float(out) if np.ndim(e) == 0 else out
+    return out.item() if np.ndim(e) == 0 else out
 
 
 def delta(spec: LossSpec, e):
@@ -199,25 +215,36 @@ def delta(spec: LossSpec, e):
     weight reaches 0.0 where ``e^2`` overflows.
     """
     arr = np.asarray(e, dtype=float)
+    arr = arr.reshape(1) if arr.ndim == 0 else arr
     kind, s = spec.kind, float(spec.scale)
-    if kind == WELSCH:
-        out = (2.0 / (s * s)) * np.exp(-(arr * arr) / (s * s))
-    elif kind == L1L2:
-        out = 1.0 / np.sqrt(1.0 + arr * arr)
-    elif kind == HUBER:
-        a = np.abs(arr)
-        small = a < 2.0 * s
-        safe = np.where(small, 1.0, a)  # avoid 1/0 in the dead branch
-        out = np.where(small, 1.0 / (2.0 * s), 1.0 / safe)
-    elif kind == FAIR:
-        out = 1.0 / (1.0 + np.abs(arr) / s)
+    # one new array per call, as in :func:`phi`
+    if kind == WELSCH:  # (2/s^2) exp(-e^2 / s^2)
+        out = arr * arr
+        np.negative(out, out=out)
+        out /= s * s
+        np.exp(out, out=out)
+        out *= 2.0 / (s * s)
+    elif kind == L1L2:  # 1 / sqrt(1 + e^2)
+        out = arr * arr
+        out += 1.0
+        np.sqrt(out, out=out)
+        np.divide(1.0, out, out=out)
+    elif kind == HUBER:  # 1 / max(|e|, 2s)
+        out = np.abs(arr)
+        np.maximum(out, 2.0 * s, out=out)
+        np.divide(1.0, out, out=out)
+    elif kind == FAIR:  # 1 / (1 + |e|/s)
+        out = np.abs(arr)
+        out /= s
+        out += 1.0
+        np.divide(1.0, out, out=out)
     elif kind == LOGCOSH:
         zero = arr == 0.0
         safe = np.where(zero, 1.0, arr)
         out = np.where(zero, 1.0, np.tanh(safe) / safe)
     else:
         raise UnknownLossError(f"unknown loss kind {kind!r}")
-    return float(out) if np.ndim(e) == 0 else out
+    return out.item() if np.ndim(e) == 0 else out
 
 
 def parse_ensemble(text: str) -> EnsembleSpec:

@@ -124,7 +124,8 @@ def residuals(w, stack: FoldStack) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (stack.k, stack.d):
         raise DimensionMismatchError(f"w has shape {w.shape}, expected ({stack.k}, {stack.d})")
-    return stack.y - (stack.X @ w[..., None])[..., 0]
+    fitted = (stack.X @ w[..., None])[..., 0]
+    return np.subtract(stack.y, fitted, out=fitted)
 
 
 def update_p(ensemble: EnsembleSpec, e) -> list[np.ndarray]:
@@ -169,13 +170,13 @@ def update_w(stack: FoldStack, s, alpha: float) -> np.ndarray:
     b = np.zeros((k, d, 1))
     buf = np.empty((k, min(rows, n), d))
     for folds, count in stack.runs:
-        X, y, sf = stack.X[folds, :count], stack.y[folds, :count], s[folds, :count]
+        X, y, sf = stack.X[folds, :count], stack.y[folds, :count, None], s[folds, :count, None]
+        A_run, b_run = A[folds], b[folds]  # views: each block adds into them in place
         for start in range(0, count, rows):
             Xc = X[:, start:start + rows]
-            Xs = np.multiply(Xc, sf[:, start:start + rows, None],
-                             out=buf[:Xc.shape[0], :Xc.shape[1]])
-            A[folds] += Xc.transpose(0, 2, 1) @ Xs
-            b[folds] += Xs.transpose(0, 2, 1) @ y[:, start:start + rows, None]
+            Xs = np.multiply(Xc, sf[:, start:start + rows], out=buf[:Xc.shape[0], :Xc.shape[1]])
+            A_run += Xc.transpose(0, 2, 1) @ Xs
+            b_run += Xs.transpose(0, 2, 1) @ y[:, start:start + rows]
     bad = ~(np.all(np.isfinite(A), axis=(1, 2)) & np.all(np.isfinite(b), axis=(1, 2)))
     A[bad], b[bad] = 0.0, 0.0
     A = 0.5 * (A + A.transpose(0, 2, 1))  # BLAS rounding can leave ~1 ulp asymmetry
@@ -224,6 +225,10 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
     Every sum runs over a fold's own rows, so each fold gives a lone
     :func:`fit`'s ``w``, trace and ensemble weights bit for bit.
 
+    The zero start's residual is ``e = y``, taken without the pass over X
+    that ``y - X 0`` would make: X is finite, so the two differ at most in
+    the sign of a zero, which no output sees.
+
     Raises
     ------
     NonFiniteObjectiveError
@@ -255,15 +260,21 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
     errors = {}
 
     def freeze(cols, folds):  # keep what the models need of the final P
-        for j in folds:
-            P_j = np.stack([c[j, :stack.counts[j]] for c in cols], axis=-1)
-            weight_sums[j] = (float(P_j.sum()), P_j.sum(axis=0))
+        if not len(folds):
+            return
+        # one reduction per slice of adjacent folds of one row count
+        cuts = np.flatnonzero((np.diff(folds) != 1) | (np.diff(stack.counts[folds]) != 0)) + 1
+        for part in np.split(folds, cuts):
+            a, b, count = part[0], part[-1] + 1, stack.counts[part[0]]
+            P = np.stack([c[a:b, :count] for c in cols], axis=-1)
+            for j, total, loss_sums in zip(part, P.sum(axis=(1, 2)), P.sum(axis=1)):
+                weight_sums[j] = (float(total), loss_sums)
 
     # a residual whose square overflows has the overflow's limit as its
     # answer (phi = inf, delta = 0), and a risk of inf is rejected below,
     # so numpy need not warn about it
     with np.errstate(over="ignore"):
-        e = residuals(w, stack)
+        e = residuals(w, stack) if config.init == INIT_GAUSSIAN else stack.y.copy()
         for it in range(1, config.max_iters + 1):
             cols = update_p(ensemble, e)
             w_next = update_w(stack, sum(cols[1:], cols[0]), config.alpha)

@@ -114,10 +114,55 @@ def csv_rows_oracle(path, has_header: bool):
     return header, np.array([[float(cell) for cell in row] for row in rows])
 
 
+def expression_phi(kind: str, s: float, e):
+    """``phi`` of the catalog as one numpy expression per kind, each
+    operation making a new array."""
+    e = np.asarray(e, dtype=float)
+    if kind == "welsch":
+        return -np.expm1(-(e * e) / (s * s))
+    if kind == "l1l2":
+        return np.sqrt(1.0 + e * e) - 1.0
+    if kind == "huber":
+        a = np.abs(e)
+        return np.where(a < 2.0 * s, e * e / (4.0 * s), a - s)
+    if kind == "fair":
+        r = np.abs(e) / s
+        return (s * s) * np.subtract(r, np.log1p(r), out=np.full_like(r, np.inf),
+                                     where=~np.isinf(r))
+    return np.logaddexp(e, -e) - np.log(2.0)
+
+
+def expression_delta(kind: str, s: float, e):
+    """``delta`` of the catalog as one numpy expression per kind (huber's
+    as :func:`two_branch_huber_delta`), each operation making a new array."""
+    e = np.asarray(e, dtype=float)
+    if kind == "welsch":
+        return (2.0 / (s * s)) * np.exp(-(e * e) / (s * s))
+    if kind == "l1l2":
+        return 1.0 / np.sqrt(1.0 + e * e)
+    if kind == "huber":
+        return two_branch_huber_delta(e, s)
+    if kind == "fair":
+        return 1.0 / (1.0 + np.abs(e) / s)
+    zero = e == 0.0
+    safe = np.where(zero, 1.0, e)
+    return np.where(zero, 1.0, np.tanh(safe) / safe)
+
+
+def two_branch_huber_delta(e, scale: float):
+    """Huber's weight as two branches: ``1/(2s)`` where ``|e| < 2s``, else
+    ``1/|e|``, with the dead branch's ``1/0`` kept out by a stand-in 1."""
+    a = np.abs(np.asarray(e, dtype=float))
+    small = a < 2.0 * scale
+    safe = np.where(small, 1.0, a)
+    return np.where(small, 1.0 / (2.0 * scale), 1.0 / safe)
+
+
 def two_matvec_fit(ds, ensemble, config):
     """The alternating loop with the residual computed twice per iteration:
     once for the P-step and once more for the risk of the new iterate.
-    Returns ``(w, risks)``."""
+    Returns ``(w, risks, loss_weights)``, the last the column sums of the
+    final P over its total."""
     from relf.data import FoldStack
     from relf.losses import phi
     from relf.solver import INIT_GAUSSIAN, update_p, update_w
@@ -138,7 +183,7 @@ def two_matvec_fit(ds, ensemble, config):
         w = w_next
         if done:
             break
-    return w, np.asarray(risks)
+    return w, np.asarray(risks), P.sum(axis=0) / float(P.sum())
 
 
 def full_gram_update_w(stack, s, alpha):

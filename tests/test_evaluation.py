@@ -181,6 +181,15 @@ class TestCvResult:
         res = CvResult("ols", np.array([1.0, 3.0]), np.array([2.0, 2.0]))
         assert (res.mean_mae, res.std_mae, res.mean_rmse, res.std_rmse) == (2.0, 1.0, 2.0, 0.0)
 
+    def test_statistics_are_fields_with_the_reductions_bits(self):
+        rng = np.random.default_rng(3)
+        mae, rmse = rng.uniform(0.0, 9.0, 10), rng.uniform(0.0, 9.0, 10)
+        res = CvResult("ols", mae, rmse)
+        stats = {name: vars(res)[name] for name in ("mean_mae", "mean_rmse", "std_mae", "std_rmse")}
+        assert stats == {"mean_mae": float(np.mean(mae)), "mean_rmse": float(np.mean(rmse)),
+                         "std_mae": float(np.std(mae)), "std_rmse": float(np.std(rmse))}
+        assert all(type(v) is float for v in stats.values())
+
     @pytest.mark.parametrize("fold_mae, fold_rmse, name", [
         ([1e308, 1e308], [1.0, 1.0], "mean_mae"),
         ([1.0, 1.0], [np.inf, 1.0], "mean_rmse"),
@@ -377,6 +386,28 @@ class TestStackedCrossValidate:
             2, 5, 5, constant, "ols", [0.0], (True, True), seed, label_scale)
         assert np.array_equal(fold_mae, ref[0])
         assert np.array_equal(fold_rmse, ref[1])
+
+    @pytest.mark.parametrize("method", ["ols", "ridge:0.5"])
+    def test_least_squares_levels_share_one_gram(self, method):
+        # 23 rows in 4 folds: training folds of 17 and 18 rows, one padded;
+        # three label stacks give the bits of three one-level calls, and of
+        # least squares on the (3k)-fold stack that repeats each fold's X
+        rng = np.random.default_rng(11)
+        ds = Dataset(X=rng.uniform(-5.0, 5.0, size=(23, 3)), y=rng.standard_normal(23))
+        folds, m = cv_folds(ds, CvConfig(folds=4, seed=2)), parse_method(method)
+        labels = [train_labels(folds, None if level == 0 else NoiseConfig(
+            mode=NOISE_OUTLIER, outlier_fraction=level, seed=4), (0, i))
+            for i, level in enumerate((0.0, 0.2, 0.4))]
+        stacked = cross_validate(folds, m, labels)
+        for res, y in zip(stacked, labels):
+            (alone,) = cross_validate(folds, m, [y])
+            assert np.array_equal(res.fold_mae, alone.fold_mae)
+            assert np.array_equal(res.fold_rmse, alone.fold_rmse)
+        train = folds.train
+        tall = FoldStack(np.concatenate([train.X] * 3), np.concatenate(labels),
+                         np.tile(train.counts, 3))
+        assert np.array_equal(m.fold_weights(train, labels).reshape(3 * train.k, -1),
+                              ols_fit(tall, m.ridge_alpha))
 
     def test_failing_inputs_raise_the_oracles_error(self):
         ds = synth_line()

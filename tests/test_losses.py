@@ -25,7 +25,8 @@ from relf.exceptions import (
 )
 from relf.losses import CONVEX_KINDS, HUBER, KINDS, SCALED_KINDS
 
-from oracles import central_diff, grid_argmin
+from oracles import (central_diff, expression_delta, expression_phi, grid_argmin,
+                     two_branch_huber_delta)
 
 SQRT_HALF = math.sqrt(0.5)  # welsch with sigma^2 = 1/2
 
@@ -146,6 +147,79 @@ class TestDelta:
         assert phi(LossSpec("welsch", 1.0), 1e6) <= 1.0
         for kind in CONVEX_KINDS:
             assert phi(LossSpec(kind, 1.0), 1e6) > 1e3
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestHuberWeightBits:
+    """``delta`` of huber, ``1/max(|e|, 2s)``, gives the two-branch weight's
+    bits for every input."""
+
+    SCALES = (1e-300, 1e-8, 0.5, 1.0, 3.0, 1e8, 1e300, 1e308)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_edges(self, scale):
+        two_s = 2.0 * scale
+        e = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, two_s, -two_s,
+                      np.nextafter(two_s, 0.0), np.nextafter(two_s, np.inf),
+                      1e-320, 1e308, -1e308, np.finfo(float).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = delta(LossSpec(HUBER, scale), e)
+            for x, want in zip(e, two_branch_huber_delta(e, scale)):
+                assert _bits(delta(LossSpec(HUBER, scale), x)) == _bits(want)
+        assert np.array_equal(_bits(got), _bits(two_branch_huber_delta(e, scale)))
+
+    @given(e=st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=20),
+           log_scale=st.floats(-300.0, 300.0))
+    @settings(max_examples=300, deadline=None)
+    def test_wide_range(self, e, log_scale):
+        scale = 10.0 ** log_scale
+        e = np.array(e)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = delta(LossSpec(HUBER, scale), e)
+        assert np.array_equal(_bits(got), _bits(two_branch_huber_delta(e, scale)))
+
+
+class TestInPlaceKernelBits:
+    """Each kernel writes its steps into one array, with the bits of the
+    catalog formula as a plain numpy expression."""
+
+    EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320, 1e-160, 1e154, 1e308,
+                      -1e308, np.finfo(float).max, 0.5, -2.0, 2.0])
+
+    @staticmethod
+    def _check(kind, scale, e):
+        spec = LossSpec(kind, scale)
+        with np.errstate(all="ignore"):
+            for x in (e, *e.ravel()[:4]):  # scalars in, Python floats out
+                for kernel, oracle in ((phi, expression_phi), (delta, expression_delta)):
+                    try:
+                        want = oracle(kind, scale, x)
+                    except ZeroDivisionError:  # welsch's 2/s^2 once s^2 underflows
+                        with pytest.raises(ZeroDivisionError):
+                            kernel(spec, x)
+                        continue
+                    got = kernel(spec, x)
+                    assert np.shape(got) == np.shape(want)
+                    assert type(got) is (np.ndarray if np.ndim(x) else float)
+                    assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("scale", [1e-300, 0.5, 1.0, 2.0, 1e300])
+    def test_edges(self, kind, scale):
+        self._check(kind, scale, self.EDGES)
+        self._check(kind, scale, np.concatenate([self.EDGES, -self.EDGES]).reshape(2, 2, -1))
+
+    @given(kind=st.sampled_from(KINDS),
+           e=st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=30),
+           log_scale=st.floats(-300.0, 300.0))
+    @settings(max_examples=300, deadline=None)
+    def test_wide_range(self, kind, e, log_scale):
+        self._check(kind, 10.0 ** log_scale, np.array(e))
 
 
 class TestCatalogProperties:

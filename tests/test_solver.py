@@ -287,6 +287,71 @@ class TestStackedSteps:
         with pytest.raises(NonFiniteObjectiveError, match="at iteration 1$"):
             fit_folds(stack, parse_ensemble("l1l2"))
 
+    @pytest.mark.parametrize("config", [
+        SolverConfig(), SolverConfig(max_iters=8), SolverConfig(rel_tol=0.0, max_iters=6)])
+    def test_frozen_folds_keep_their_own_weights(self, config):
+        # folds freeze alone or as slices of adjacent folds of one row count,
+        # some padded: at two or more iterations (at max_iters 8, four are
+        # still live when the loop ends), or all at the end (rel_tol 0); each
+        # keeps the ensemble weights of its own final P
+        rng = np.random.default_rng(5)
+        counts = np.array([40, 40, 40, 33, 33, 40, 25])
+        parts = []
+        for j, n in enumerate(counts):
+            ds = _random_ds(int(n), 2, 100 + j, outliers=j % 2 == 0)
+            parts.append(Dataset(X=ds.X * rng.uniform(0.1, 10.0), y=ds.y))
+        if config.rel_tol:
+            parts[1], parts[4] = parts[0], parts[3]  # two pairs that converge together
+        X, y = np.zeros((len(counts), 40, 2)), np.zeros((len(counts), 40))
+        for j, part in enumerate(parts):
+            X[j, :part.n], y[j, :part.n] = part.X, part.y
+        ens = parse_ensemble("welsch:2,l1l2,fair")
+        models = fit_folds(FoldStack(X, y, counts), ens, config)
+        assert len({m.trace.iterations for m in models}) >= (2 if config.rel_tol else 1)
+        for model, part in zip(models, parts):
+            w, _, loss_weights = two_matvec_fit(part, ens, config)
+            assert np.array_equal(model.loss_weights, loss_weights)
+            assert np.array_equal(model.w, w)
+
+
+class TestZeroStart:
+    """The zero start takes ``e = y`` and no ``y - X 0`` pass, with the
+    bits of a loop that makes that pass."""
+
+    @staticmethod
+    def _padded_stack(seed):
+        # folds of 30, 30 and 26 rows: the last one padded
+        parts = [_random_ds(n, 3, seed + j, outliers=True) for j, n in enumerate((30, 30, 26))]
+        X, y = np.zeros((3, 30, 3)), np.zeros((3, 30))
+        for j, part in enumerate(parts):
+            X[j, :part.n], y[j, :part.n] = part.X, part.y
+        return parts, FoldStack(X, y, np.array([30, 30, 26]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_y_minus_x0_loop(self, seed):
+        parts, stack = self._padded_stack(seed)
+        ens = parse_ensemble("welsch,l1l2,huber:0.5")
+        for config in (SolverConfig(), SolverConfig(rel_tol=0.0, max_iters=8)):
+            for model, part in zip(fit_folds(stack, ens, config), parts):
+                w, risks, _ = two_matvec_fit(part, ens, config)  # starts from y - X 0
+                assert np.array_equal(model.w, w)
+                assert np.array_equal(model.trace.risks, risks)
+
+    @pytest.mark.parametrize("init, extra", [("zeros", 0), ("gaussian", 1)])
+    def test_one_residual_per_iteration_after_the_start(self, init, extra):
+        # the zero start computes no residual before its first P-step
+        _, stack = self._padded_stack(7)
+        seen = []
+
+        def spy(w, st):
+            seen.append(np.array(w))
+            return residuals(w, st)
+
+        with mock.patch.object(solver, "residuals", spy):
+            models = fit_folds(stack, parse_ensemble("welsch,l1l2"), SolverConfig(init=init))
+        assert len(seen) == max(m.trace.iterations for m in models) + extra
+        assert init == "gaussian" or not any(np.all(w == 0.0) for w in seen)
+
 
 class TestObjective:
     def test_perfect_fit(self):
@@ -475,9 +540,10 @@ class TestFit:
         for config in (SolverConfig(), SolverConfig(rel_tol=0.0, max_iters=12),
                        SolverConfig(init="gaussian", init_seed=seed)):
             model = fit(ds, ens, config)
-            w, risks = two_matvec_fit(ds, ens, config)
+            w, risks, loss_weights = two_matvec_fit(ds, ens, config)
             assert np.array_equal(model.trace.risks, risks)
             assert np.array_equal(model.w, w)
+            assert np.array_equal(model.loss_weights, loss_weights)
 
 
 @st.composite
