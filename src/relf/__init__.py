@@ -13,22 +13,11 @@ from .exceptions import (
     DataIOError,
     DegenerateTraceWarning,
     DimensionMismatchError,
-    DoubleInterceptError,
-    DuplicateLossError,
-    EmptyEnsembleError,
-    EmptyFileError,
     EnsembleError,
     FactorizationError,
-    FractionRangeError,
     NonFiniteObjectiveError,
-    NonPositiveIndexError,
-    NonPositiveScaleError,
     ParseError,
-    RaggedRowsError,
     RelfError,
-    TooManyFoldsError,
-    UnknownLossError,
-    ZeroCleanBaselineError,
 )
 from .losses import (
     CONVEX_KINDS,

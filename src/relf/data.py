@@ -20,18 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import (
-    DataError,
-    DataIOError,
-    DimensionMismatchError,
-    DoubleInterceptError,
-    EmptyFileError,
-    FractionRangeError,
-    NonPositiveIndexError,
-    ParseError,
-    RaggedRowsError,
-    RelfError,
-)
+from .exceptions import DataError, DataIOError, DimensionMismatchError, ParseError, RelfError
 
 NOISE_GAUSSIAN = "gaussian"
 NOISE_OUTLIER = "outlier"
@@ -90,10 +79,10 @@ class FoldStack:
     (k, rows, d) and ``y`` is (k, rows).
 
     Fold ``j`` holds ``counts[j]`` rows; a shorter fold is padded up to
-    ``rows`` with all-zero rows and zero labels, which no sum includes
-    (see :attr:`runs`), so each fold gives a lone fit's bits.  A single
-    :class:`Dataset` is the one-fold stack :meth:`of`, which shares its
-    arrays.
+    ``rows`` with all-zero rows and zero labels, which no sum or product
+    includes (see :attr:`runs`), so each fold gives a lone fit's bits.  A
+    single :class:`Dataset` is the one-fold stack :meth:`of`, which shares
+    its arrays.
     """
 
     X: np.ndarray
@@ -151,8 +140,7 @@ class NoiseConfig:
             raise DataError(
                 f"outlier_magnitude must be > 0, got {self.outlier_magnitude!r}")
         if not (0.0 <= self.outlier_fraction <= 1.0):
-            raise FractionRangeError(
-                f"outlier_fraction must lie in [0, 1], got {self.outlier_fraction!r}")
+            raise DataError(f"outlier_fraction must lie in [0, 1], got {self.outlier_fraction!r}")
 
 
 @dataclass(frozen=True)
@@ -186,7 +174,7 @@ class Preprocessing:
         intercept) array; ``ds`` itself for the identity.  A scaler fitted
         for other than ``ds.d`` columns raises
         :class:`DimensionMismatchError`, an intercept on a dataset that has
-        one :class:`DoubleInterceptError`, in that order."""
+        one :class:`DataError`, in that order."""
         if self.scaler is None and not self.intercept:
             return ds
         X = np.empty((ds.n, ds.d + self.intercept))
@@ -202,7 +190,7 @@ class Preprocessing:
         names = ds.feature_names
         if self.intercept:
             if ds.has_intercept:
-                raise DoubleInterceptError("dataset already has an intercept column")
+                raise DataError("dataset already has an intercept column")
             X[:, ds.d] = 1.0
             names = names + ("intercept",) if names else None
         return Dataset(X=X, y=ds.y, feature_names=names,
@@ -238,8 +226,9 @@ _KIND_NAMES = {str: "a string", bool: "a boolean", int: "an integer",
                float: "a finite number", list: "a list", dict: "an object"}
 
 
-def _conforms(value, kind: type) -> bool:
-    """JSON typing: ``float`` takes any finite number; a boolean is no ``int``."""
+def _conforms(value, kind) -> bool:
+    """JSON typing: ``float`` takes any finite number; a boolean is no
+    ``int``.  ``kind`` may also be a tuple of types, as for ``isinstance``."""
     if isinstance(value, bool) and kind is not bool:
         return False
     if kind is float:  # an exact comparison, so no int overflows
@@ -285,7 +274,7 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
     ``has_header`` is true.  The header is the first non-blank row; rows
     whose cells are all blank are skipped and cells may be double-quoted.  All
     cells must parse as floats; rows of uneven width, or a header wider
-    than the rows, raise :class:`RaggedRowsError`; unparseable cells raise
+    than the rows, raise :class:`DataError`; unparseable cells raise
     :class:`ParseError` with 1-based coordinates, where the row is the
     file line on which the record starts.
 
@@ -362,7 +351,7 @@ def _parse_checked(stream, path, label_column, has_header: bool):
             lines.append((start, row))
         start = reader.line_num + 1
     if not lines:
-        raise EmptyFileError(f"{path} holds no rows")
+        raise DataError(f"{path} holds no rows")
 
     header = None
     first_data = 0
@@ -370,7 +359,7 @@ def _parse_checked(stream, path, label_column, has_header: bool):
         header = [cell.strip() for cell in lines[0][1]]
         first_data = 1
     if len(lines) <= first_data:
-        raise EmptyFileError(f"{path} holds no data rows")
+        raise DataError(f"{path} holds no data rows")
 
     width = len(lines[first_data][1])
     _label_index(label_column, header, width)  # label errors come first
@@ -378,8 +367,7 @@ def _parse_checked(stream, path, label_column, has_header: bool):
     rows = np.empty((len(lines) - first_data, width))
     for i, (file_line, row) in enumerate(lines[first_data:]):
         if len(row) != width:
-            raise RaggedRowsError(
-                f"line {file_line} has {len(row)} cells, expected {width}")
+            raise DataError(f"line {file_line} has {len(row)} cells, expected {width}")
         for j, cell in enumerate(row):
             try:
                 rows[i, j] = float(cell)
@@ -409,8 +397,7 @@ def _split_label(rows: np.ndarray, header, label_column) -> Dataset:
     width = rows.shape[1]
     label_idx = _label_index(label_column, header, width)
     if header is not None and len(header) > width:
-        raise RaggedRowsError(
-            f"header line has {len(header)} cells, data rows have {width}")
+        raise DataError(f"header line has {len(header)} cells, data rows have {width}")
     names = None if header is None else tuple(
         h for j, h in enumerate(header) if j != label_idx)
     # copies, so that no view keeps the whole table alive
@@ -440,7 +427,7 @@ def load_libsvm(path) -> Dataset:
     parsed = _parse_libsvm_bulk(text) if re.fullmatch(_LIBSVM_PLAIN, text) else None
     X, y = parsed if parsed is not None else _parse_libsvm_checked(text.split("\n"))
     if y.size == 0:
-        raise EmptyFileError(f"{path} holds no data lines")
+        raise DataError(f"{path} holds no data lines")
     return Dataset(X=X, y=y)
 
 
@@ -500,8 +487,7 @@ def _parse_libsvm_checked(lines):
                 raise ParseError(f"bad feature index {idx_text!r}",
                                  row=lineno, col=col) from None
             if idx <= 0:
-                raise NonPositiveIndexError(
-                    f"feature indices are 1-based; got {idx} at line {lineno}")
+                raise DataError(f"feature indices are 1-based; got {idx} at line {lineno}")
             try:
                 entries[idx] = float(val_text)
             except ValueError:

@@ -26,20 +26,14 @@ from .data import (
     NOISE_GAUSSIAN,
     NOISE_OUTLIER,
     Preprocessing,
+    _conforms,
     displace_labels,
     load_csv,
     load_libsvm,
     minmax_map,
     synth_line,
 )
-from .exceptions import (
-    DataError,
-    DegenerateTraceWarning,
-    DoubleInterceptError,
-    RelfError,
-    TooManyFoldsError,
-    ZeroCleanBaselineError,
-)
+from .exceptions import DataError, DegenerateTraceWarning, RelfError
 from .losses import DEFAULT_ENSEMBLE_TEXT, EnsembleSpec, parse_ensemble
 from .solver import SolverConfig, decrease_ratio, fit, fit_folds
 from . import linalg
@@ -87,7 +81,7 @@ def kfold_split(n: int, config: CvConfig | None = None):
     """
     config = config or CvConfig()
     if config.folds > n:
-        raise TooManyFoldsError(f"{config.folds} folds for {n} samples")
+        raise DataError(f"{config.folds} folds for {n} samples")
     if config.shuffle:
         order = np.random.default_rng(config.seed).permutation(n)
     else:
@@ -251,7 +245,7 @@ def cv_folds(ds: Dataset, cv: CvConfig | None = None, *,
     ``k * rows * d * 8`` bytes.
     """
     if intercept and ds.has_intercept:
-        raise DoubleInterceptError("dataset already has an intercept column")
+        raise DataError("dataset already has an intercept column")
     splits = kfold_split(ds.n, cv or CvConfig())
     train, train_pad = _gather(ds, [tr for tr, _ in splits])
     test, test_pad = _gather(ds, [te for _, te in splits])
@@ -315,18 +309,17 @@ def cross_validate(folds: CvFolds, method, labels=None) -> list[CvResult]:
     labels = [folds.train.y] if labels is None else list(labels)
     test = folds.test
     w = method.fold_weights(folds.train, labels)
-    err = test.y - (test.X @ w[..., None])[..., 0]
     fold_mae, fold_rmse = np.empty(w.shape[:2]), np.empty(w.shape[:2])
-    for run, count in test.runs:  # the mae/rmse of each fold's own rows
-        fold_mae[:, run], fold_rmse[:, run] = error_metrics(err[:, run, :count])
+    for run, count in test.runs:  # the errors, mae and rmse of each fold's own rows
+        err = test.y[run, :count] - (test.X[run, :count] @ w[:, run, :, None])[..., 0]
+        fold_mae[:, run], fold_rmse[:, run] = error_metrics(err)
     return [CvResult(method.label, a, r) for a, r in zip(fold_mae, fold_rmse)]
 
 
 def increase_ratio(contaminated_mae: float, clean_mae: float) -> float:
     """``MAE_contaminated / MAE_clean``; the clean baseline must be > 0."""
     if clean_mae <= 0.0:
-        raise ZeroCleanBaselineError(
-            f"clean MAE must be > 0, got {clean_mae!r}")
+        raise DataError(f"clean MAE must be > 0, got {clean_mae!r}")
     return float(contaminated_mae) / float(clean_mae)
 
 
@@ -420,7 +413,8 @@ def _load_manifest_dataset(entry: dict, base: Path) -> Dataset:
     raise DataError(f"unknown dataset format {fmt!r} for {entry.get('name')!r}")
 
 
-# manifest keys whose value the harness reads outside a per-cell guard
+# the JSON type (as :func:`data._conforms` reads it) of each manifest and
+# cv key whose value the harness reads outside a per-cell guard
 _MANIFEST_TYPES = {
     "datasets": (list, "a list"),
     "methods": (list, "a list"),
@@ -429,18 +423,24 @@ _MANIFEST_TYPES = {
     "solver": (dict, "an object"),
     "outlier_magnitude": ((int, float), "a number"),
     "outlier_seed": (int, "an integer"),
+    "scale_features": (bool, "a boolean"),
+    "intercept": (bool, "a boolean"),
 }
+_CV_TYPES = {"folds": (int, "an integer"), "seed": (int, "an integer"),
+             "shuffle": (bool, "a boolean")}
+
+
+def _check_types(obj: dict, types: dict, where: str) -> None:
+    for key, (kind, what) in types.items():
+        if key in obj and not _conforms(obj[key], kind):
+            raise DataError(f"{where} {key!r} must be {what}")
 
 
 def _validate_manifest(manifest: dict) -> None:
     if not isinstance(manifest, dict):
         raise DataError("manifest must be a JSON object")
-    for key, (kind, what) in _MANIFEST_TYPES.items():
-        if key in manifest and not isinstance(manifest[key], kind):
-            raise DataError(f"manifest {key!r} must be {what}")
-    for key in ("folds", "seed"):
-        if not isinstance(manifest.get("cv", {}).get(key, 0), int):
-            raise DataError(f"manifest cv {key!r} must be an integer")
+    _check_types(manifest, _MANIFEST_TYPES, "manifest")
+    _check_types(manifest.get("cv", {}), _CV_TYPES, "manifest cv")
     for entry in manifest.get("datasets", []):
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise DataError("every dataset entry needs a 'name' string")
@@ -521,12 +521,9 @@ def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
         if level == 0 or cell.get("error") is not None:
             continue
         clean = by_key.get((cell["dataset"], cell["method"], 0.0))
-        if clean is None or clean.get("error") is not None:
+        if clean is None or clean.get("error") is not None or clean["mae"] <= 0.0:
             continue
-        try:
-            ratio = increase_ratio(cell["mae"], clean["mae"])
-        except ZeroCleanBaselineError:
-            continue
+        ratio = increase_ratio(cell["mae"], clean["mae"])
         if np.isinf(ratio):  # the quotient overflows the float range
             continue
         ratios.append({

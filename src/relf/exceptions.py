@@ -1,9 +1,14 @@
 """Exception hierarchy for relf.
 
 Everything raised on purpose derives from :class:`RelfError`, so callers can
-catch one base class.  Each error also inherits the closest builtin
+catch one base class.  Each family also inherits the closest builtin
 (``ValueError``, ``ArithmeticError``, ``OSError``) to stay friendly to
-generic handling.
+generic handling.  A family is one class, whose errors differ in their
+messages only.  An error has a class of its own only if it carries data
+(:class:`ParseError`'s ``row`` and ``col``), is raised from many places
+(:class:`DimensionMismatchError`), is an ``OSError``
+(:class:`DataIOError`) or maps to its own exit code
+(:class:`FactorizationError`, :class:`NonFiniteObjectiveError`).
 """
 
 
@@ -11,29 +16,10 @@ class RelfError(Exception):
     """Base class for all relf errors."""
 
 
-# --- loss catalog ---------------------------------------------------------
-
 class EnsembleError(RelfError, ValueError):
-    """Invalid loss or ensemble specification."""
+    """Invalid loss or ensemble specification: an empty ensemble, an
+    unknown kind, a bad scale or a duplicate loss."""
 
-
-class EmptyEnsembleError(EnsembleError):
-    """Ensemble contains no losses."""
-
-
-class UnknownLossError(EnsembleError):
-    """Loss kind is not in the catalog."""
-
-
-class NonPositiveScaleError(EnsembleError):
-    """Loss scale is zero, negative, or non-finite."""
-
-
-class DuplicateLossError(EnsembleError):
-    """Two ensemble members are the same loss function."""
-
-
-# --- numeric kernel -------------------------------------------------------
 
 class DimensionMismatchError(RelfError, ValueError):
     """Array shapes or lengths are incompatible."""
@@ -43,10 +29,10 @@ class FactorizationError(RelfError, ArithmeticError):
     """Cholesky factorization failed even after jitter."""
 
 
-# --- data pipeline --------------------------------------------------------
-
 class DataError(RelfError, ValueError):
-    """Invalid dataset content or configuration."""
+    """Invalid dataset content or configuration: a ragged or empty file, a
+    bad index, a second intercept, an out-of-range fraction, more folds
+    than samples, a zero clean baseline, and the like."""
 
 
 class DataIOError(RelfError, OSError):
@@ -71,41 +57,9 @@ class ParseError(DataError):
         self.col = col
 
 
-class RaggedRowsError(DataError):
-    """Rows in a delimited file have differing widths."""
-
-
-class EmptyFileError(DataError):
-    """File holds no data rows."""
-
-
-class NonPositiveIndexError(DataError):
-    """Sparse feature index below 1 (indices are 1-based)."""
-
-
-class DoubleInterceptError(DataError):
-    """Dataset already carries an intercept column."""
-
-
-class FractionRangeError(DataError):
-    """Outlier fraction outside [0, 1]."""
-
-
-# --- solver ---------------------------------------------------------------
-
 class NonFiniteObjectiveError(RelfError, ArithmeticError):
     """Objective or iterate became NaN/Inf; data or config is pathological."""
 
 
 class DegenerateTraceWarning(UserWarning):
     """Objective trace is flat; ratio statistics are reported by convention."""
-
-
-# --- evaluation -----------------------------------------------------------
-
-class TooManyFoldsError(RelfError, ValueError):
-    """More folds requested than samples available."""
-
-
-class ZeroCleanBaselineError(RelfError, ZeroDivisionError):
-    """Clean-baseline error is zero; increase ratio undefined."""

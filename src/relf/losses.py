@@ -32,17 +32,13 @@ ignored and treated as 1.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    DuplicateLossError,
-    EmptyEnsembleError,
-    EnsembleError,
-    NonPositiveScaleError,
-    UnknownLossError,
-)
+from .exceptions import EnsembleError
 
 WELSCH = "welsch"
 L1L2 = "l1l2"
@@ -61,6 +57,9 @@ CONVEX_KINDS = (L1L2, HUBER, FAIR, LOGCOSH)
 
 #: Default fitting ensemble: one redescending + two convex losses.
 DEFAULT_ENSEMBLE_TEXT = "welsch,l1l2,huber"
+
+#: Welsch scales at or below this overflow the weight ``2 / s^2`` at 0.
+WELSCH_MIN_SCALE = math.sqrt(2.0 / sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -110,20 +109,19 @@ class EnsembleSpec:
 def validate_loss(spec: LossSpec) -> None:
     """Check a single loss against the catalog invariants.
 
-    Raises
-    ------
-    UnknownLossError
-        ``kind`` is not one of ``KINDS``.
-    NonPositiveScaleError
-        ``scale`` is not a finite positive real.
+    Raises :class:`EnsembleError` if ``kind`` is not one of ``KINDS``, if
+    ``scale`` is not a finite positive real, or if a welsch ``scale`` is
+    not above :data:`WELSCH_MIN_SCALE`.
     """
     if spec.kind not in KINDS:
-        raise UnknownLossError(
-            f"unknown loss kind {spec.kind!r}; expected one of {', '.join(KINDS)}")
+        raise EnsembleError(f"unknown loss kind {spec.kind!r}; expected one of {', '.join(KINDS)}")
     scale = float(spec.scale)
     if not np.isfinite(scale) or scale <= 0.0:
-        raise NonPositiveScaleError(
+        raise EnsembleError(
             f"loss {spec.kind!r} needs a finite positive scale, got {spec.scale!r}")
+    if spec.kind == WELSCH and not scale > WELSCH_MIN_SCALE:
+        raise EnsembleError(f"loss 'welsch' needs a scale above {WELSCH_MIN_SCALE!r}, "
+                            f"where its weight 2/s^2 is finite, got {spec.scale!r}")
 
 
 def validate_ensemble(ensemble: EnsembleSpec) -> None:
@@ -133,21 +131,18 @@ def validate_ensemble(ensemble: EnsembleSpec) -> None:
     collide regardless of their (ignored) scales, while ``huber:0.5`` and
     ``huber:1.0`` are distinct.
 
-    Raises
-    ------
-    EmptyEnsembleError, UnknownLossError, NonPositiveScaleError,
-    DuplicateLossError
+    Raises :class:`EnsembleError`, naming the first problem found.
     """
     if not isinstance(ensemble, EnsembleSpec):
         raise EnsembleError(f"expected EnsembleSpec, got {type(ensemble).__name__}")
     if ensemble.m == 0:
-        raise EmptyEnsembleError("ensemble must contain at least one loss")
+        raise EnsembleError("ensemble must contain at least one loss")
     seen = set()
     for spec in ensemble.losses:
         validate_loss(spec)
         key = spec.effective_key()
         if key in seen:
-            raise DuplicateLossError(f"duplicate loss {spec.label()!r} in ensemble")
+            raise EnsembleError(f"duplicate loss {spec.label()!r} in ensemble")
         seen.add(key)
 
 
@@ -202,7 +197,7 @@ def phi(spec: LossSpec, e):
         np.logaddexp(arr, out, out=out)
         out -= np.log(2.0)
     else:
-        raise UnknownLossError(f"unknown loss kind {kind!r}")
+        raise EnsembleError(f"unknown loss kind {kind!r}")
     return out.item() if np.ndim(e) == 0 else out
 
 
@@ -243,7 +238,7 @@ def delta(spec: LossSpec, e):
         safe = np.where(zero, 1.0, arr)
         out = np.where(zero, 1.0, np.tanh(safe) / safe)
     else:
-        raise UnknownLossError(f"unknown loss kind {kind!r}")
+        raise EnsembleError(f"unknown loss kind {kind!r}")
     return out.item() if np.ndim(e) == 0 else out
 
 
@@ -255,7 +250,7 @@ def parse_ensemble(text: str) -> EnsembleSpec:
     validated before returning.
     """
     if text is None or text.strip() == "":
-        raise EmptyEnsembleError("empty ensemble specification")
+        raise EnsembleError("empty ensemble specification")
     specs = []
     for token in text.split(","):
         token = token.strip()

@@ -120,12 +120,16 @@ class RelfModel:
 
 def residuals(w, stack: FoldStack) -> np.ndarray:
     """``e = y - X w`` per fold of ``stack``: (k, rows) for one ``w`` per
-    fold, (k, d)."""
+    fold, (k, d).  Each run of folds (:attr:`FoldStack.runs`) multiplies
+    only its own rows, into one buffer, so a fold gets a lone product's
+    bits and a padding row the residual 0."""
     w = np.asarray(w, dtype=float)
     if w.shape != (stack.k, stack.d):
         raise DimensionMismatchError(f"w has shape {w.shape}, expected ({stack.k}, {stack.d})")
-    fitted = (stack.X @ w[..., None])[..., 0]
-    return np.subtract(stack.y, fitted, out=fitted)
+    fitted = np.zeros(stack.y.shape + (1,))
+    for folds, count in stack.runs:
+        np.matmul(stack.X[folds, :count], w[folds, :, None], out=fitted[folds, :count])
+    return np.subtract(stack.y, fitted[..., 0], out=fitted[..., 0])
 
 
 def update_p(ensemble: EnsembleSpec, e) -> list[np.ndarray]:

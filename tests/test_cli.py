@@ -89,6 +89,20 @@ class TestFitCommand:
         assert code == 1
         assert "ensemble" in err
 
+    @pytest.mark.parametrize("scale", ["1e-170", "1e-158"])
+    def test_welsch_scale_whose_weight_overflows(self, tmp_path, capsys, scale):
+        # 2/s^2 divided by 0 at 1e-170 and overflowed at 1e-158: a traceback,
+        # or a RuntimeWarning before a solver error
+        data = _write_toy_csv(tmp_path / "toy.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", "--data", str(data), "--label-column", "y",
+                         "--ensemble", f"welsch:{scale},l1l2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: loss 'welsch' needs a scale above 1.05")
+        assert err.endswith(f", got {float(scale)!r}\n") and err.count("\n") == 1
+
     def test_header_wider_than_rows(self, tmp_path, capsys):
         data = tmp_path / "wide.csv"
         data.write_text("x,y,z\n1,2\n3,4\n")
@@ -364,6 +378,14 @@ class TestBenchCommand:
         ({"contamination_levels": [0.0, 0.3, 0.3]}, "manifest lists contamination level 0.3 twice"),
         ({"contamination_levels": [0, 0.3, 0.0]}, "manifest lists contamination level 0.0 twice"),
         ({"methods": ["ols", " OLS"]}, "manifest lists method 'ols' twice"),
+        # JSON types as the model file reads them: a boolean is no number and
+        # a string no boolean
+        ({"outlier_magnitude": True}, "manifest 'outlier_magnitude' must be a number"),
+        ({"outlier_seed": True}, "manifest 'outlier_seed' must be an integer"),
+        ({"cv": {"folds": True}}, "manifest cv 'folds' must be an integer"),
+        ({"intercept": "no"}, "manifest 'intercept' must be a boolean"),
+        ({"scale_features": "false"}, "manifest 'scale_features' must be a boolean"),
+        ({"cv": {"shuffle": "no"}}, "manifest cv 'shuffle' must be a boolean"),
     ])
     def test_bench_malformed_manifest(self, tmp_path, capsys, manifest, message):
         path = tmp_path / "manifest.json"

@@ -1,5 +1,5 @@
 """``tools/compare_outputs.py``: its cell comparison, and a run with this
-checkout on both sides."""
+checkout on both sides, malformed inputs included."""
 
 import importlib.util
 import json
@@ -55,7 +55,7 @@ class TestCompare:
         assert tool.compare("model.json", json.dumps(old), json.dumps(new)) is not None
 
 
-def test_this_checkout_against_itself(tmp_path):
+def test_this_checkout_against_itself(tmp_path, tool):
     proc = subprocess.run(
         [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--tall-rows", "3000",
          "--csv-rows", "300", "--keep", str(tmp_path / "run")],
@@ -70,8 +70,19 @@ def test_this_checkout_against_itself(tmp_path):
     assert sum(name.startswith("demos/") for name in verdicts) == len(
         list((ROOT / "demos").glob("*.py")))
     assert lines[-1] == f"{len(verdicts)} of {len(verdicts)} outputs identical"
-    # the runs did what they were asked: no failed command on either side
+    # the runs did what they were asked: every command succeeded on either
+    # side but the malformed inputs', which end with their own exit status:
+    # 1 and one "error:" line, or 3 and a failed benchmark cell
+    expected = {f"errors/{name}": code for name, code, _ in tool.ERROR_CASES}
+    assert expected.keys() <= verdicts.keys()
     for side in ("old", "new"):
-        for path in (tmp_path / "run" / side / "captured").rglob("*"):
+        captured = tmp_path / "run" / side / "captured"
+        for path in captured.rglob("*"):
             if path.is_file():
-                assert "[exit 0]\n" in path.read_text(), path
+                code = expected.get(path.relative_to(captured).as_posix(), 0)
+                stdout, marker, stderr = path.read_text().partition(f"[exit {code}]\n")
+                assert marker, path
+                if code == 1:
+                    assert stderr.startswith("error: ") and stderr.count("\n") == 1, path
+                if code == 3:
+                    assert "FAILED (" in stdout and not stderr, path

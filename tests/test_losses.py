@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,14 +17,8 @@ from relf import (
     validate_ensemble,
     validate_loss,
 )
-from relf.exceptions import (
-    DuplicateLossError,
-    EmptyEnsembleError,
-    EnsembleError,
-    NonPositiveScaleError,
-    UnknownLossError,
-)
-from relf.losses import CONVEX_KINDS, HUBER, KINDS, SCALED_KINDS
+from relf.exceptions import EnsembleError
+from relf.losses import CONVEX_KINDS, HUBER, KINDS, SCALED_KINDS, WELSCH_MIN_SCALE
 
 from oracles import (central_diff, expression_delta, expression_phi, grid_argmin,
                      two_branch_huber_delta)
@@ -254,29 +249,51 @@ class TestValidation:
         validate_ensemble(EnsembleSpec((LossSpec("welsch", 1.0), LossSpec("l1l2"))))
 
     def test_empty(self):
-        with pytest.raises(EmptyEnsembleError):
+        with pytest.raises(EnsembleError, match="^ensemble must contain at least one loss$"):
             validate_ensemble(EnsembleSpec(()))
 
     def test_nonpositive_scale(self):
-        with pytest.raises(NonPositiveScaleError):
+        with pytest.raises(EnsembleError, match=re.escape(
+                "loss 'huber' needs a finite positive scale, got 0.0")):
             validate_ensemble(EnsembleSpec((LossSpec("huber", 0.0),)))
-        with pytest.raises(NonPositiveScaleError):
+        with pytest.raises(EnsembleError, match=re.escape(
+                "loss 'welsch' needs a finite positive scale, got -1.0")):
             validate_loss(LossSpec("welsch", -1.0))
-        with pytest.raises(NonPositiveScaleError):
+        with pytest.raises(EnsembleError, match=re.escape(
+                "loss 'fair' needs a finite positive scale, got nan")):
             validate_loss(LossSpec("fair", float("nan")))
 
     def test_unknown_kind(self):
-        with pytest.raises(UnknownLossError):
+        with pytest.raises(EnsembleError, match=re.escape(
+                "unknown loss kind 'tukey'; expected one of welsch, l1l2, huber, fair, logcosh")):
             validate_loss(LossSpec("tukey", 1.0))
 
     def test_duplicates(self):
-        with pytest.raises(DuplicateLossError):
+        with pytest.raises(EnsembleError, match="^duplicate loss 'huber:0.5' in ensemble$"):
             validate_ensemble(EnsembleSpec((LossSpec("huber", 0.5),
                                             LossSpec("huber", 0.5))))
         # fixed-shape kinds collide regardless of the (ignored) scale
-        with pytest.raises(DuplicateLossError):
+        with pytest.raises(EnsembleError, match="^duplicate loss 'l1l2' in ensemble$"):
             validate_ensemble(EnsembleSpec((LossSpec("l1l2", 1.0),
                                             LossSpec("l1l2", 2.0))))
+
+    def test_welsch_scale_limit(self):
+        # the limit is the last scale whose weight 2/s^2 overflows; below it
+        # s^2 underflows to 0 at about 1.5e-162
+        assert math.isinf(2.0 / (WELSCH_MIN_SCALE * WELSCH_MIN_SCALE))
+        for scale in (WELSCH_MIN_SCALE, 1e-158, 1e-170, 5e-324):
+            with pytest.raises(EnsembleError, match=re.escape(
+                    f"loss 'welsch' needs a scale above {WELSCH_MIN_SCALE!r}, "
+                    f"where its weight 2/s^2 is finite, got {scale!r}")):
+                validate_loss(LossSpec("welsch", scale))
+        above = math.nextafter(WELSCH_MIN_SCALE, 1.0)
+        validate_loss(LossSpec("welsch", above))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(delta(LossSpec("welsch", above), 0.0))
+        # the limit is welsch's own: huber and fair take any positive scale
+        for kind in ("huber", "fair"):
+            validate_loss(LossSpec(kind, 5e-324))
 
     def test_same_kind_different_scale_is_fine(self):
         validate_ensemble(EnsembleSpec((LossSpec("huber", 0.5),
@@ -296,11 +313,11 @@ class TestParse:
         assert [s.kind for s in ens.losses] == ["welsch", "fair"]
 
     def test_empty_string(self):
-        with pytest.raises(EmptyEnsembleError):
+        with pytest.raises(EnsembleError, match="^empty ensemble specification$"):
             parse_ensemble("")
 
     def test_unknown_kind(self):
-        with pytest.raises(UnknownLossError):
+        with pytest.raises(EnsembleError, match="^unknown loss kind 'cauchy'; expected one of"):
             parse_ensemble("cauchy")
 
     def test_bad_scale(self):
@@ -308,7 +325,7 @@ class TestParse:
             parse_ensemble("huber:abc")
 
     def test_duplicate_through_parser(self):
-        with pytest.raises(DuplicateLossError):
+        with pytest.raises(EnsembleError, match="^duplicate loss 'l1l2' in ensemble$"):
             parse_ensemble("l1l2,l1l2")
 
     def test_round_trip(self):

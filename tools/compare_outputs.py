@@ -11,6 +11,9 @@ thread, on inputs generated once here from fixed seeds:
   generated manifest of a CSV, a libsvm and a synthetic set: their stdout,
   ``model.json``, ``predictions.csv``, ``report.csv`` and ``report.json``
   (whose ``seconds`` fields, being wall-clock times, are left out);
+* the CLI on a fixed corpus of malformed inputs (:data:`ERROR_CASES`: bad
+  files, bad loss lists, bad flags and manifests): stdout, exit status and
+  stderr, so an error's message and exit code are compared too;
 * every ``demos/*.py`` of the checkout under ``python -W error``: its stdout
   and exit status;
 * the benchmark's fit-tall op (``benchmarks/workloads.py`` of ``NEW``, at
@@ -63,6 +66,27 @@ for key in ("w", "lam", "risks"):
 
 TOKEN = re.compile(r"[^\s,=]+")
 
+# malformed inputs: (name, the exit status the run should end with, relf
+# arguments, in which "{in}" is the inputs directory)
+ERROR_CASES = (
+    ("ragged-csv", 1, ["fit", "--data", "{in}/ragged.csv", "--label-column", "y"]),
+    ("wide-header-csv", 1, ["fit", "--data", "{in}/wide-header.csv", "--label-column", "y"]),
+    ("empty-csv", 1, ["fit", "--data", "{in}/empty.csv", "--label-column", "y"]),
+    ("header-only-csv", 1, ["fit", "--data", "{in}/header-only.csv", "--label-column", "y"]),
+    ("label-name-without-header", 1,
+     ["fit", "--data", "{in}/train.csv", "--no-header", "--label-column", "y"]),
+    ("libsvm-index-0", 1, ["fit", "--format", "libsvm", "--data", "{in}/index-0.svm"]),
+    ("empty-libsvm", 1, ["fit", "--format", "libsvm", "--data", "{in}/empty.svm"]),
+    ("empty-ensemble", 1, ["toy", "--ensemble", ""]),
+    ("unknown-loss", 1, ["toy", "--ensemble", "welsch,cauchy"]),
+    ("duplicate-loss", 1, ["toy", "--ensemble", "l1l2,huber,l1l2"]),
+    ("zero-scale-loss", 1, ["toy", "--ensemble", "huber:0"]),
+    ("outlier-fraction-1.5", 1, ["toy", "--noise", "outlier", "--outlier-fraction", "1.5"]),
+    # a dataset's failure is a failed cell: its error is in stdout and the report
+    ("too-many-folds", 3, ["bench", "--manifest", "{in}/too-many-folds.json",
+                           "--output-dir", "too-many-folds"]),
+)
+
 
 # --- inputs ---------------------------------------------------------------------
 
@@ -111,6 +135,17 @@ def make_inputs(root: Path, csv_rows: int) -> None:
         "methods": ["relf", "irls:huber:0.5", "relf:welsch:1.5,fair", "ridge:1e-2", "ols"],
     }
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    # the malformed inputs of ERROR_CASES
+    (root / "ragged.csv").write_text("x,y\n1,2\n3,4,5\n")
+    (root / "wide-header.csv").write_text("x,y,z\n1,2\n3,4\n")
+    (root / "empty.csv").write_text("")
+    (root / "header-only.csv").write_text("x,y\n")
+    (root / "index-0.svm").write_text("1 1:2.5\n2 0:3\n")
+    (root / "empty.svm").write_text("\n\n")
+    too_many = {"cv": {"folds": 200}, "methods": ["ols"],
+                "datasets": [{"name": "a", "format": "csv", "path": "bench-a.csv",
+                              "label_column": "y"}]}
+    (root / "too-many-folds.json").write_text(json.dumps(too_many) + "\n")
 
 
 # --- one checkout's outputs -----------------------------------------------------
@@ -155,6 +190,8 @@ def run_side(checkout: Path, bench_dir: Path, inputs: Path, work: Path,
     for name in ("model.json", "predictions.csv", "bench/report.csv", "bench/report.json"):
         path = work / name
         outputs[name] = path.read_text() if path.is_file() else "<missing>\n"
+    for name, _, args in ERROR_CASES:
+        relf(f"errors/{name}", *[arg.replace("{in}", data) for arg in args])
     for demo in sorted((checkout / "demos").glob("*.py")):
         run(f"demos/{demo.stem}.stdout", ["-W", "error", str(demo.resolve())])
     run("fit-tall.bits", ["-c", FIT_TALL, str(bench_dir.resolve()), str(tall_rows), src])
