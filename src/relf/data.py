@@ -15,8 +15,9 @@ import io
 import json
 import sys
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
+from functools import cache, cached_property
+from typing import get_type_hints
 
 import numpy as np
 
@@ -177,21 +178,18 @@ class Preprocessing:
         one :class:`DataError`, in that order."""
         if self.scaler is None and not self.intercept:
             return ds
-        X = np.empty((ds.n, ds.d + self.intercept))
-        if self.scaler is None:
-            X[:, :ds.d] = ds.X
-        else:
+        lo = hi = None
+        if self.scaler is not None:
             lo = np.asarray(self.scaler.feature_min, dtype=float)
             hi = np.asarray(self.scaler.feature_max, dtype=float)
             if lo.shape != (ds.d,) or hi.shape != (ds.d,):
                 raise DimensionMismatchError(
                     f"scaler fitted for {lo.shape[0]} columns, dataset has {ds.d}")
-            minmax_map(ds.X, lo, hi, out=X[:, :ds.d])
+        X = feature_map(ds.X, lo, hi, self.intercept)
         names = ds.feature_names
         if self.intercept:
             if ds.has_intercept:
                 raise DataError("dataset already has an intercept column")
-            X[:, ds.d] = 1.0
             names = names + ("intercept",) if names else None
         return Dataset(X=X, y=ds.y, feature_names=names,
                        has_intercept=ds.has_intercept or self.intercept)
@@ -207,7 +205,7 @@ class Preprocessing:
         """Inverse of :meth:`to_dict` for a model of ``width`` weights;
         :class:`RelfError` for a value it could not have written."""
         if not isinstance(obj, dict):
-            raise RelfError("model 'preprocessing' must be an object")
+            raise DataError("model 'preprocessing' must be an object")
         intercept = "intercept" in obj and json_field(obj, "intercept", bool,
                                                       "model preprocessing")
         if obj.get("scaler") is None:
@@ -222,17 +220,21 @@ class Preprocessing:
         return cls(ScalerState(lo, hi), intercept)
 
 
-_KIND_NAMES = {str: "a string", bool: "a boolean", int: "an integer",
-               float: "a finite number", list: "a list", dict: "an object"}
+_KIND_NAMES = {str: "a string", str | None: "a string", bool: "a boolean", int: "an integer",
+               int | str | None: "an integer or a string", float: "a finite number",
+               int | float: "a number", list: "a list", dict: "an object"}
+_type_hints = cache(get_type_hints)  # a dataclass's field kinds, its annotations evaluated once
 
 
 def _conforms(value, kind) -> bool:
-    """JSON typing: ``float`` takes any finite number; a boolean is no
-    ``int``.  ``kind`` may also be a tuple of types, as for ``isinstance``."""
+    """JSON typing: ``float`` takes any finite number, ``int | float`` any
+    number that a float holds, inf and NaN too; a boolean is no ``int``.
+    ``kind`` may also be another union of types, as for ``isinstance``."""
     if isinstance(value, bool) and kind is not bool:
         return False
-    if kind is float:  # an exact comparison, so no int overflows
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if kind in (float, int | float) and isinstance(value, (int, float)):
+        # an exact comparison, so no int overflows
+        return abs(value) <= sys.float_info.max or (kind != float and isinstance(value, float))
     return isinstance(value, kind)
 
 
@@ -251,19 +253,31 @@ def load_json(path, what: str):
 
 def json_field(obj, key: str, kind: type, where: str):
     """``obj[key]`` if ``obj`` is a JSON object whose ``key`` holds a
-    ``kind`` value; :class:`RelfError` otherwise."""
+    ``kind`` value; :class:`DataError` otherwise."""
     if not isinstance(obj, dict) or key not in obj:
-        raise RelfError(f"{where} lacks {key!r}")
+        raise DataError(f"{where} lacks {key!r}")
     if not _conforms(obj[key], kind):
-        raise RelfError(f"{where} {key!r} must be {_KIND_NAMES[kind]}")
+        raise DataError(f"{where} {key!r} must be {_KIND_NAMES[kind]}")
     return obj[key]
+
+
+def json_dataclass(cls, obj: dict, where: str):
+    """The dataclass ``cls`` whose fields are the JSON object ``obj``: every
+    field present with the kind of its type hint (see :func:`json_field`)
+    and no other key; :class:`DataError` naming ``where`` otherwise.  A
+    caller with defaults merges them into ``obj`` first."""
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise DataError(f"{where} has unknown key {unknown[0]!r}")
+    return cls(**{name: json_field(obj, name, kind, where)
+                  for name, kind in _type_hints(cls).items()})
 
 
 def json_numbers(obj, key: str, where: str) -> np.ndarray:
     """``obj[key]`` as a float array, if it is a list of finite numbers."""
     values = json_field(obj, key, list, where)
     if not all(_conforms(v, float) for v in values):
-        raise RelfError(f"{where} {key!r} must be a list of finite numbers")
+        raise DataError(f"{where} {key!r} must be a list of finite numbers")
     return np.asarray(values, dtype=float)
 
 
@@ -548,6 +562,19 @@ def minmax_map(values, lo, hi, out=None):
         lo_i, hi_i = (float(np.broadcast_to(a, out.shape)[i]) for a in (lo, hi))
         raise DataError(f"scaling {float(values[i])!r} by the training range "
                         f"[{lo_i!r}, {hi_i!r}] overflows the float range")
+    return out
+
+
+def feature_map(X, lo=None, hi=None, intercept: bool = False) -> np.ndarray:
+    """Features ``X`` (..., d) mapped by ``lo``/``hi`` (:func:`minmax_map`; as
+    they are if None), then ones appended if ``intercept``, into one new array."""
+    out = np.empty(X.shape[:-1] + (X.shape[-1] + intercept,))
+    if lo is None:
+        out[..., :X.shape[-1]] = X
+    else:
+        minmax_map(X, lo, hi, out=out[..., :X.shape[-1]])
+    if intercept:
+        out[..., -1] = 1.0
     return out
 
 

@@ -14,7 +14,7 @@ method cares about outliers.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +28,10 @@ from .data import (
     Preprocessing,
     _conforms,
     displace_labels,
+    feature_map,
+    json_dataclass,
     load_csv,
     load_libsvm,
-    minmax_map,
     synth_line,
 )
 from .exceptions import DataError, DegenerateTraceWarning, RelfError
@@ -82,16 +83,9 @@ def kfold_split(n: int, config: CvConfig | None = None):
     config = config or CvConfig()
     if config.folds > n:
         raise DataError(f"{config.folds} folds for {n} samples")
-    if config.shuffle:
-        order = np.random.default_rng(config.seed).permutation(n)
-    else:
-        order = np.arange(n)
+    order = np.random.default_rng(config.seed).permutation(n) if config.shuffle else np.arange(n)
     blocks = np.array_split(order, config.folds)
-    out = []
-    for i, test in enumerate(blocks):
-        train = np.concatenate([b for j, b in enumerate(blocks) if j != i])
-        out.append((train, test))
-    return out
+    return [(np.concatenate(blocks[:i] + blocks[i + 1:]), test) for i, test in enumerate(blocks)]
 
 
 def derive_seed(*keys) -> int:
@@ -249,12 +243,16 @@ def cv_folds(ds: Dataset, cv: CvConfig | None = None, *,
     splits = kfold_split(ds.n, cv or CvConfig())
     train, train_pad = _gather(ds, [tr for tr, _ in splits])
     test, test_pad = _gather(ds, [te for _, te in splits])
+    lo = hi = None
     if scale_features:
         # padding repeats a fold's first row, so it leaves min and max alone
         lo, hi = train.X.min(axis=1, keepdims=True), train.X.max(axis=1, keepdims=True)
-        train = replace(train, X=minmax_map(train.X, lo, hi))
-        test = replace(test, X=minmax_map(test.X, lo, hi))
-    return CvFolds(_finish_stack(train, train_pad, intercept), _finish_stack(test, test_pad, intercept))
+    stacks = []
+    for stack, pad in ((train, train_pad), (test, test_pad)):
+        X = feature_map(stack.X, lo, hi, intercept)  # as Preprocessing maps a dataset
+        X[pad], stack.y[pad] = 0.0, 0.0
+        stacks.append(replace(stack, X=X))
+    return CvFolds(*stacks)
 
 
 def _gather(ds: Dataset, index_sets) -> tuple[FoldStack, np.ndarray]:
@@ -266,17 +264,6 @@ def _gather(ds: Dataset, index_sets) -> tuple[FoldStack, np.ndarray]:
                     for ix in index_sets])
     pad = np.arange(rows) >= counts[:, None]
     return FoldStack(ds.X[idx], ds.y[idx], counts), pad
-
-
-def _finish_stack(stack: FoldStack, pad: np.ndarray, intercept: bool) -> FoldStack:
-    """Append the intercept column, then zero the padding rows."""
-    X, y = stack.X, stack.y
-    if intercept:
-        X = np.concatenate([X, np.ones(X.shape[:2] + (1,))], axis=2)
-    if not np.all(np.isfinite(X)):
-        raise DataError("dataset contains NaN/Inf")
-    X[pad], y[pad] = 0.0, 0.0
-    return replace(stack, X=X, y=y)
 
 
 def train_labels(folds: CvFolds, contamination: NoiseConfig | None = None,
@@ -355,24 +342,13 @@ class EvalReport:
     def csv_text(self) -> str:
         """Flat deterministic table (no wall-clock columns): byte-identical
         across reruns of the same manifest."""
-        ratio_key = {}
-        for row in self.ratios:
-            ratio_key[(row["dataset"], row["method"], row["contamination"])] = \
-                row["increase_ratio"]
+        ratio_key = {(row["dataset"], row["method"], row["contamination"]): row["increase_ratio"]
+                     for row in self.ratios}
         lines = ["dataset,method,contamination,status,mae,rmse,mae_std,rmse_std,increase_ratio"]
         for cell in self.cells:
-            key = (cell["dataset"], cell["method"], cell["contamination"])
-            ratio = ratio_key.get(key)
-            if cell.get("error") is not None:
-                tail = "failed,,,,"
-            else:
-                tail = ",".join([
-                    "ok",
-                    _float_cell(cell["mae"]),
-                    _float_cell(cell["rmse"]),
-                    _float_cell(cell["mae_std"]),
-                    _float_cell(cell["rmse_std"]),
-                ])
+            ratio = ratio_key.get((cell["dataset"], cell["method"], cell["contamination"]))
+            tail = "failed,,,," if cell.get("error") is not None else ",".join(
+                ["ok"] + [_float_cell(cell[k]) for k in ("mae", "rmse", "mae_std", "rmse_std")])
             lines.append(",".join([
                 cell["dataset"], cell["method"], _float_cell(cell["contamination"]),
                 tail, "" if ratio is None else _float_cell(ratio),
@@ -393,88 +369,90 @@ class EvalReport:
         return json_path, csv_path
 
 
-def _load_manifest_dataset(entry: dict, base: Path) -> Dataset:
-    fmt = entry.get("format")
-    if fmt == "synthetic":
-        mode = entry.get("noise_mode", NOISE_GAUSSIAN)
-        noise = NoiseConfig(
-            mode=mode,
-            gaussian_std=entry.get("gaussian_std", 1.0),
-            outlier_fraction=entry.get("outlier_fraction", 0.3),
-            outlier_magnitude=entry.get("outlier_magnitude", 5.0),
-            seed=entry.get("seed", 0),
-        )
-        return synth_line(noise)
-    if fmt == "csv":
-        return load_csv(base / entry["path"], entry["label_column"],
-                        has_header=entry.get("has_header", True))
-    if fmt == "libsvm":
-        return load_libsvm(base / entry["path"])
-    raise DataError(f"unknown dataset format {fmt!r} for {entry.get('name')!r}")
+@dataclass(frozen=True)
+class _Manifest:
+    """The top-level keys of a benchmark manifest: JSON types and defaults."""
+
+    datasets: list = field(default_factory=list)
+    methods: list = field(default_factory=list)
+    contamination_levels: list = field(default_factory=lambda: [0.0, 0.3])
+    cv: dict = field(default_factory=dict)  # read as a CvConfig
+    solver: dict = field(default_factory=dict)  # read as a SolverConfig
+    outlier_magnitude: int | float = NoiseConfig.outlier_magnitude
+    outlier_seed: int = NoiseConfig.seed
+    scale_features: bool = True
+    intercept: bool = True
 
 
-# the JSON type (as :func:`data._conforms` reads it) of each manifest and
-# cv key whose value the harness reads outside a per-cell guard
-_MANIFEST_TYPES = {
-    "datasets": (list, "a list"),
-    "methods": (list, "a list"),
-    "contamination_levels": (list, "a list"),
-    "cv": (dict, "an object"),
-    "solver": (dict, "an object"),
-    "outlier_magnitude": ((int, float), "a number"),
-    "outlier_seed": (int, "an integer"),
-    "scale_features": (bool, "a boolean"),
-    "intercept": (bool, "a boolean"),
-}
-_CV_TYPES = {"folds": (int, "an integer"), "seed": (int, "an integer"),
-             "shuffle": (bool, "a boolean")}
+@dataclass(frozen=True)
+class _DatasetEntry:
+    """A manifest ``datasets`` entry: the ``"csv"`` or ``"libsvm"`` file at
+    ``path``, relative to the manifest, or the ``"synthetic"`` line, whose
+    noise keys default to :class:`NoiseConfig`'s."""
 
+    name: str
+    format: str
+    path: str | None = None
+    label_column: int | str | None = None
+    has_header: bool = True
+    noise_mode: str = NOISE_GAUSSIAN
+    gaussian_std: int | float = NoiseConfig.gaussian_std
+    outlier_fraction: int | float = NoiseConfig.outlier_fraction
+    outlier_magnitude: int | float = NoiseConfig.outlier_magnitude
+    seed: int = NoiseConfig.seed
 
-def _check_types(obj: dict, types: dict, where: str) -> None:
-    for key, (kind, what) in types.items():
-        if key in obj and not _conforms(obj[key], kind):
-            raise DataError(f"{where} {key!r} must be {what}")
+    def __post_init__(self):
+        needs = {"csv": ("path", "label_column"), "libsvm": ("path",), "synthetic": ()}
+        if self.format not in needs:
+            raise DataError(f"unknown dataset format {self.format!r} for {self.name!r}")
+        for key in needs[self.format]:
+            if getattr(self, key) is None:
+                raise DataError(f"manifest dataset {self.name!r} lacks {key!r}")
 
-
-def _validate_manifest(manifest: dict) -> None:
-    if not isinstance(manifest, dict):
-        raise DataError("manifest must be a JSON object")
-    _check_types(manifest, _MANIFEST_TYPES, "manifest")
-    _check_types(manifest.get("cv", {}), _CV_TYPES, "manifest cv")
-    for entry in manifest.get("datasets", []):
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise DataError("every dataset entry needs a 'name' string")
-    for method in manifest.get("methods", []):
-        if not isinstance(method, str):
-            raise DataError(f"manifest methods must be strings, got {method!r}")
-    for level in manifest.get("contamination_levels", []):
-        if not (isinstance(level, (int, float)) and 0.0 <= level <= 1.0):
-            raise DataError(f"contamination level {level!r} is not a number in [0, 1]")
+    def load(self, base: Path) -> Dataset:
+        if self.format == "csv":
+            return load_csv(base / self.path, self.label_column, self.has_header)
+        if self.format == "libsvm":
+            return load_libsvm(base / self.path)
+        return synth_line(NoiseConfig(self.noise_mode, self.gaussian_std, self.outlier_fraction,
+                                      self.outlier_magnitude, self.seed))
 
 
 def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
     """Run the full grid datasets x methods x contamination levels.
 
-    Failures are contained per dataset cell (recorded under ``error``);
-    the rest of the grid still runs.  For each RELF-family method a
-    full-data convergence report (final risk, iterations, decrease ratio)
-    is produced on the clean dataset.
+    Each level of ``manifest`` is read by :func:`data.json_dataclass` over
+    its defaults: a schema error (an unknown key, a wrong type, a missing
+    ``name``) stops the run before any cell.  Failures are then contained
+    per dataset cell (recorded under ``error``); the rest of the grid still
+    runs.  For each RELF-family method a full-data convergence report
+    (final risk, iterations, decrease ratio) is produced on the clean
+    dataset.
     """
-    _validate_manifest(manifest)
+    if not isinstance(manifest, dict):
+        raise DataError("manifest must be a JSON object")
+    top = json_dataclass(_Manifest, {**asdict(_Manifest()), **manifest}, "manifest")
+    defaults = {f.name: f.default for f in fields(_DatasetEntry)[2:]}  # all but name, format
+    entries = []
+    for entry in top.datasets:
+        if not (isinstance(entry, dict) and "name" in entry and isinstance(entry["name"], str)):
+            raise DataError("every dataset entry needs a 'name' string")
+        entries.append(json_dataclass(_DatasetEntry, {**defaults, **entry},
+                                      f"manifest dataset {entry['name']!r}"))
+    for method in top.methods:
+        if not isinstance(method, str):
+            raise DataError(f"manifest methods must be strings, got {method!r}")
+    for level in top.contamination_levels:
+        if not (_conforms(level, float) and 0.0 <= level <= 1.0):
+            raise DataError(f"contamination level {level!r} is not a number in [0, 1]")
     base = Path(base_dir) if base_dir is not None else Path(".")
-    cv_spec = manifest.get("cv", {})
-    cv = CvConfig(folds=cv_spec.get("folds", 10), seed=cv_spec.get("seed", 0),
-                  shuffle=cv_spec.get("shuffle", True))
-    solver_config = SolverConfig.from_dict(
-        {**asdict(SolverConfig()), **manifest.get("solver", {})}, "manifest solver")
-    levels = [float(v) for v in manifest.get("contamination_levels", [0.0, 0.3])]
-    magnitude = manifest.get("outlier_magnitude", 5.0)
-    outlier_seed = manifest.get("outlier_seed", 0)
-    scale_features = manifest.get("scale_features", True)
-    intercept = manifest.get("intercept", True)
-    methods = [parse_method(s, solver_config) for s in manifest.get("methods", [])]
+    cv = json_dataclass(CvConfig, {**asdict(CvConfig()), **top.cv}, "manifest cv")
+    solver_config = SolverConfig.from_dict({**asdict(SolverConfig()), **top.solver},
+                                           "manifest solver")
+    levels = [float(v) for v in top.contamination_levels]
+    methods = [parse_method(s, solver_config) for s in top.methods]
     # cells are looked up by (dataset, method, level), so each must be unique
-    for what, keys in (("dataset", [entry["name"] for entry in manifest.get("datasets", [])]),
+    for what, keys in (("dataset", [entry.name for entry in entries]),
                        ("method", [method.label for method in methods]),
                        ("contamination level", levels)):
         for i, key in enumerate(keys):
@@ -482,12 +460,11 @@ def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
                 raise DataError(f"manifest lists {what} {key!r} twice")
 
     cells, ratios, convergence = [], [], []
-    for ds_idx, entry in enumerate(manifest.get("datasets", [])):
-        name = entry["name"]
+    for ds_idx, entry in enumerate(entries):
         ds = folds = None
         try:  # keep the rest of the grid alive
-            ds = _load_manifest_dataset(entry, base)
-            folds = cv_folds(ds, cv, scale_features=scale_features, intercept=intercept)
+            ds = entry.load(base)
+            folds = cv_folds(ds, cv, scale_features=top.scale_features, intercept=top.intercept)
             load_error = None
         except Exception as exc:
             load_error = f"{type(exc).__name__}: {exc}"
@@ -496,7 +473,7 @@ def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
         for lvl_idx, level in enumerate(levels if methods and load_error is None else ()):
             contamination = None if level == 0 else NoiseConfig(
                 mode=NOISE_OUTLIER, outlier_fraction=level,
-                outlier_magnitude=magnitude, seed=outlier_seed)
+                outlier_magnitude=top.outlier_magnitude, seed=top.outlier_seed)
             try:
                 labels.append(train_labels(folds, contamination, (ds_idx, lvl_idx)))
             except Exception as exc:
@@ -505,10 +482,10 @@ def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
         for method in methods:
             if ds is not None and isinstance(method, RelfMethod):
                 convergence.append(
-                    _convergence_report(ds, method, name, scale_features, intercept))
+                    _convergence_report(ds, method, entry.name, top.scale_features, top.intercept))
             results = iter(_cv_cells(folds, method, drawn) if drawn else ())
             for lvl_idx, level in enumerate(levels):
-                cell = {"dataset": name, "method": method.label,
+                cell = {"dataset": entry.name, "method": method.label,
                         "contamination": level, "error": load_error}
                 if load_error is None:
                     y = labels[lvl_idx]

@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, field, fields
-from typing import get_type_hints
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .data import Dataset, FoldStack, Preprocessing, json_field, json_numbers, load_json
+from .data import (Dataset, FoldStack, Preprocessing, json_dataclass, json_field, json_numbers,
+                   load_json)
 from .exceptions import (
     DegenerateTraceWarning,
     DimensionMismatchError,
@@ -72,14 +72,9 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, obj, where: str) -> "SolverConfig":
-        """The config whose fields are the JSON object ``obj``: every field
-        present with its type, no other key, and values :meth:`validate`
-        accepts; :class:`RelfError` naming ``where`` otherwise."""
-        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-        if unknown:
-            raise RelfError(f"{where} has unknown key {unknown[0]!r}")
-        config = cls(**{name: json_field(obj, name, kind, where)
-                        for name, kind in get_type_hints(cls).items()})
+        """The config :func:`data.json_dataclass` reads from the JSON object
+        ``obj``, if :meth:`validate` accepts it; errors name ``where``."""
+        config = json_dataclass(cls, obj, where)
         config.validate()
         return config
 
@@ -275,9 +270,9 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
                 weight_sums[j] = (float(total), loss_sums)
 
     # a residual whose square overflows has the overflow's limit as its
-    # answer (phi = inf, delta = 0), and a risk of inf is rejected below,
-    # so numpy need not warn about it
-    with np.errstate(over="ignore"):
+    # answer (phi = inf, delta = 0), an infinite weight times 0 a NaN ``w``
+    # (see update_w), and both are rejected below: numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
         e = residuals(w, stack) if config.init == INIT_GAUSSIAN else stack.y.copy()
         for it in range(1, config.max_iters + 1):
             cols = update_p(ensemble, e)

@@ -1,6 +1,8 @@
+import copy
 import csv
 import io
 import json
+import random
 import warnings
 
 import numpy as np
@@ -102,6 +104,19 @@ class TestFitCommand:
         assert code == 1
         assert err.startswith("error: loss 'welsch' needs a scale above 1.05")
         assert err.endswith(f", got {float(scale)!r}\n") and err.count("\n") == 1
+
+    def test_welsch_scale_just_above_the_floor(self, tmp_path, capsys):
+        # a residual of 0 gets weight 2/s^2 = inf: the w-step's 0 * inf is
+        # NaN, a solver error, and numpy may not warn about it
+        data = tmp_path / "flat.csv"
+        data.write_text("x,y\n1,0\n2,0\n3,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", "--data", str(data), "--label-column", "y",
+                         "--ensemble", "welsch:1.06e-154,l1l2", "--no-intercept"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "solver error: objective became non-finite at iteration 1\n"
 
     def test_header_wider_than_rows(self, tmp_path, capsys):
         data = tmp_path / "wide.csv"
@@ -315,6 +330,10 @@ class TestPredictCommand:
         assert code == 1
 
 
+_CSV_ENTRY = {"name": "a", "format": "csv", "path": "a.csv", "label_column": "y"}
+_LINE_ENTRY = {"name": "line", "format": "synthetic", "noise_mode": "gaussian", "seed": 0}
+
+
 class TestBenchCommand:
     def _manifest(self, tmp_path, datasets):
         manifest = {
@@ -386,6 +405,35 @@ class TestBenchCommand:
         ({"intercept": "no"}, "manifest 'intercept' must be a boolean"),
         ({"scale_features": "false"}, "manifest 'scale_features' must be a boolean"),
         ({"cv": {"shuffle": "no"}}, "manifest cv 'shuffle' must be a boolean"),
+        ({"contamination_levels": [True]}, "contamination level True is not a number in [0, 1]"),
+        # every level is read as declared: an unknown key, a wrong type, or
+        # a missing key that the entry's format needs stops the run
+        ({"scale_feature": False}, "error: manifest has unknown key 'scale_feature'\n"),
+        ({"cv": {"fold": 3}}, "error: manifest cv has unknown key 'fold'\n"),
+        ({"datasets": [{**_CSV_ENTRY, "has_header": "no"}]},
+         "error: manifest dataset 'a' 'has_header' must be a boolean\n"),
+        ({"datasets": [{**_CSV_ENTRY, "path": 5}]},
+         "error: manifest dataset 'a' 'path' must be a string\n"),
+        ({"datasets": [{"name": "a", "format": "csv", "path": "a.csv"}]},
+         "error: manifest dataset 'a' lacks 'label_column'\n"),
+        ({"datasets": [{"name": "b", "format": "libsvm"}]},
+         "error: manifest dataset 'b' lacks 'path'\n"),
+        ({"datasets": [{**_LINE_ENTRY, "seed": True}]},
+         "error: manifest dataset 'line' 'seed' must be an integer\n"),
+        ({"datasets": [{**_LINE_ENTRY, "gaussian_std": "1"}]},
+         "error: manifest dataset 'line' 'gaussian_std' must be a number\n"),
+        ({"datasets": [{**_LINE_ENTRY, "outlier_fraction": True}]},
+         "error: manifest dataset 'line' 'outlier_fraction' must be a number\n"),
+        ({"datasets": [{**_LINE_ENTRY, "gaussian_std": 10**400}]},
+         "error: manifest dataset 'line' 'gaussian_std' must be a number\n"),
+        ({"datasets": [{**_LINE_ENTRY, "noise": "outlier"}]},
+         "error: manifest dataset 'line' has unknown key 'noise'\n"),
+        ({"datasets": [{"name": "line"}]}, "error: manifest dataset 'line' lacks 'format'\n"),
+        ({"datasets": [{"name": "x", "format": "xls"}]},
+         "error: unknown dataset format 'xls' for 'x'\n"),
+        # a value the type admits but NoiseConfig does not
+        ({"outlier_magnitude": 1e400, "datasets": [_LINE_ENTRY], "methods": ["ols"]},
+         "error: outlier_magnitude must be > 0, got inf\n"),
     ])
     def test_bench_malformed_manifest(self, tmp_path, capsys, manifest, message):
         path = tmp_path / "manifest.json"
@@ -408,6 +456,88 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert "JSON" in err
+
+
+# a small manifest of every dataset format, each level's keys all set
+_FUZZ_MANIFEST = {
+    "cv": {"folds": 2, "seed": 1, "shuffle": True},
+    "solver": {"max_iters": 4, "alpha": 1e-8},
+    "contamination_levels": [0.0, 0.3],
+    "outlier_magnitude": 5.0, "outlier_seed": 2,
+    "scale_features": True, "intercept": True,
+    "datasets": [
+        {"name": "line", "format": "synthetic", "noise_mode": "outlier", "gaussian_std": 1.0,
+         "outlier_fraction": 0.2, "outlier_magnitude": 3.0, "seed": 0},
+        {"name": "a", "format": "csv", "path": "a.csv", "label_column": "y", "has_header": True},
+        {"name": "b", "format": "libsvm", "path": "b.svm"},
+    ],
+    "methods": ["ols", "relf:welsch,l1l2"],
+}
+_FUZZ_VALUES = (None, True, False, 1e308, -1e308, 10**400, "x", [0], {"k": 0})
+
+
+def _fuzz_slots(value, path=()):
+    """``(path, is_object)`` of every value in the JSON ``value`` below the root."""
+    children = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in children:
+        yield path + (key,), isinstance(child, dict)
+        if isinstance(child, (dict, list)):
+            yield from _fuzz_slots(child, path + (key,))
+
+
+def _manifest_mutations(seed=0, pairs=150):
+    """Every single mutation of :data:`_FUZZ_MANIFEST`, each value replaced
+    by each of :data:`_FUZZ_VALUES` or deleted, and an unknown key added to
+    every object; then ``pairs`` of them applied two at a time, drawn with
+    ``seed``."""
+    slots = list(_fuzz_slots(_FUZZ_MANIFEST))
+    edits = [(path, value) for path, _ in slots for value in (*_FUZZ_VALUES, "<delete>")]
+    edits += [(path + ("zz",), 1) for path in [()] + [p for p, is_obj in slots if is_obj]]
+    rng = random.Random(seed)
+    return [[edit] for edit in edits] + [rng.sample(edits, 2) for _ in range(pairs)]
+
+
+def _mutate(manifest, edits):
+    manifest = copy.deepcopy(manifest)
+    for path, value in edits:
+        parent = manifest
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if value == "<delete>":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+        except (KeyError, IndexError, TypeError):
+            pass  # the first edit took this path away
+    return manifest
+
+
+def test_manifest_fuzz(tmp_path, capsys):
+    # no mutated manifest ends in a traceback, a warning or a failed cell
+    # that names a Python error rather than the manifest's: exit 1 and one
+    # error line for a schema error, else a report
+    (tmp_path / "a.csv").write_text("x,z,y\n" + "".join(
+        f"{i},{i % 3},{2 * i + (i % 4)}\n" for i in range(12)))
+    (tmp_path / "b.svm").write_text("".join(f"{i} 1:{i % 5} 2:{i * 0.5}\n" for i in range(10)))
+    path = tmp_path / "manifest.json"
+    outcomes = set()
+    for edits in _manifest_mutations():
+        path.write_text(json.dumps(_mutate(_FUZZ_MANIFEST, edits)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["bench", "--manifest", str(path), "--output-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 3), (edits, code, err)
+        if code == 1:
+            assert err.startswith("error:") and err.count("\n") == 1, (edits, err)
+        else:
+            assert err == "", (edits, err)
+        failed = [line for line in out.splitlines() if "FAILED" in line]
+        for name in ("TypeError", "KeyError", "AttributeError", "Warning"):
+            assert not any(name in line for line in failed), (edits, failed)
+        outcomes.add(code)
+    assert outcomes == {0, 1, 3}
 
 
 class TestUndecodableInput:

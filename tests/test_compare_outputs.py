@@ -86,3 +86,10 @@ def test_this_checkout_against_itself(tmp_path, tool):
                     assert stderr.startswith("error: ") and stderr.count("\n") == 1, path
                 if code == 3:
                     assert "FAILED (" in stdout and not stderr, path
+
+
+def test_manifest_error_cases_exit_1(tool):
+    # a manifest schema error stops the run: exit 1, not a failed cell
+    codes = {name: code for name, code, _ in tool.ERROR_CASES}
+    for name in ("unknown-cv-key", "mistyped-entry", "csv-without-label-column"):
+        assert codes[name] == 1, name

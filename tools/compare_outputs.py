@@ -85,6 +85,9 @@ ERROR_CASES = (
     # a dataset's failure is a failed cell: its error is in stdout and the report
     ("too-many-folds", 3, ["bench", "--manifest", "{in}/too-many-folds.json",
                            "--output-dir", "too-many-folds"]),
+    # a manifest that does not follow its schema stops before any cell
+    *((name, 1, ["bench", "--manifest", f"{{in}}/{name}.json", "--output-dir", name])
+      for name in ("unknown-cv-key", "mistyped-entry", "csv-without-label-column")),
 )
 
 
@@ -146,6 +149,12 @@ def make_inputs(root: Path, csv_rows: int) -> None:
                 "datasets": [{"name": "a", "format": "csv", "path": "bench-a.csv",
                               "label_column": "y"}]}
     (root / "too-many-folds.json").write_text(json.dumps(too_many) + "\n")
+    entry = too_many["datasets"][0]
+    for name, bad in (("unknown-cv-key", {"cv": {"fold": 3}}),
+                      ("mistyped-entry", {"datasets": [{**entry, "has_header": "no"}]}),
+                      ("csv-without-label-column",
+                       {"datasets": [{k: v for k, v in entry.items() if k != "label_column"}]})):
+        (root / f"{name}.json").write_text(json.dumps({**too_many, "cv": {}, **bad}) + "\n")
 
 
 # --- one checkout's outputs -----------------------------------------------------
