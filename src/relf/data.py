@@ -15,9 +15,9 @@ import io
 import json
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cache, cached_property
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -142,6 +142,8 @@ class NoiseConfig:
                 f"outlier_magnitude must be > 0, got {self.outlier_magnitude!r}")
         if not (0.0 <= self.outlier_fraction <= 1.0):
             raise DataError(f"outlier_fraction must lie in [0, 1], got {self.outlier_fraction!r}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -194,48 +196,33 @@ class Preprocessing:
         return Dataset(X=X, y=ds.y, feature_names=names,
                        has_intercept=ds.has_intercept or self.intercept)
 
-    def to_dict(self) -> dict:
-        return {"intercept": self.intercept, "scaler": None if self.scaler is None else {
-            "feature_min": [float(v) for v in self.scaler.feature_min],
-            "feature_max": [float(v) for v in self.scaler.feature_max],
-        }}
-
-    @classmethod
-    def from_dict(cls, obj: dict, width: int) -> "Preprocessing":
-        """Inverse of :meth:`to_dict` for a model of ``width`` weights;
-        :class:`RelfError` for a value it could not have written."""
-        if not isinstance(obj, dict):
-            raise DataError("model 'preprocessing' must be an object")
-        intercept = "intercept" in obj and json_field(obj, "intercept", bool,
-                                                      "model preprocessing")
-        if obj.get("scaler") is None:
-            return cls(None, intercept)
-        lo = json_numbers(obj["scaler"], "feature_min", "model scaler")
-        hi = json_numbers(obj["scaler"], "feature_max", "model scaler")
-        if lo.shape != hi.shape:
-            raise RelfError(f"model scaler has {lo.shape[0]} minima and {hi.shape[0]} maxima")
-        if width != lo.shape[0] + intercept:
-            raise RelfError(f"model has {width} weights, but its preprocessing "
-                            f"yields {lo.shape[0] + intercept} columns")
-        return cls(ScalerState(lo, hi), intercept)
-
 
 _KIND_NAMES = {str: "a string", str | None: "a string", bool: "a boolean", int: "an integer",
                int | str | None: "an integer or a string", float: "a finite number",
-               int | float: "a number", list: "a list", dict: "an object"}
+               int | float: "a number", list: "a list", dict: "an object",
+               np.ndarray: "a list of finite numbers"}
 _type_hints = cache(get_type_hints)  # a dataclass's field kinds, its annotations evaluated once
 
 
 def _conforms(value, kind) -> bool:
     """JSON typing: ``float`` takes any finite number, ``int | float`` any
-    number that a float holds, inf and NaN too; a boolean is no ``int``.
-    ``kind`` may also be another union of types, as for ``isinstance``."""
+    number that a float holds, inf and NaN too; a boolean is no ``int``;
+    ``np.ndarray`` takes a list of finite numbers and a dataclass an
+    object.  ``kind`` may also be another union of types, as for
+    ``isinstance``."""
+    if kind is np.ndarray:
+        return isinstance(value, list) and all(_conforms(v, float) for v in value)
     if isinstance(value, bool) and kind is not bool:
         return False
     if kind in (float, int | float) and isinstance(value, (int, float)):
         # an exact comparison, so no int overflows
         return abs(value) <= sys.float_info.max or (kind != float and isinstance(value, float))
-    return isinstance(value, kind)
+    return isinstance(value, tuple(dict if is_dataclass(k) else k for k in _members(kind)))
+
+
+def _members(kind) -> tuple:
+    """The types of the union ``kind``, or ``kind`` alone."""
+    return get_args(kind) or (kind,)
 
 
 def load_json(path, what: str):
@@ -251,34 +238,38 @@ def load_json(path, what: str):
         raise RelfError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def json_field(obj, key: str, kind: type, where: str):
+def json_field(obj, key: str, kind, where: str):
     """``obj[key]`` if ``obj`` is a JSON object whose ``key`` holds a
-    ``kind`` value; :class:`DataError` otherwise."""
+    ``kind`` value (see :func:`_conforms`); :class:`DataError` otherwise.
+    An ``np.ndarray`` is read as a float array, and a dataclass by
+    :func:`json_dataclass`, its errors naming ``where`` and ``key``."""
     if not isinstance(obj, dict) or key not in obj:
         raise DataError(f"{where} lacks {key!r}")
-    if not _conforms(obj[key], kind):
-        raise DataError(f"{where} {key!r} must be {_KIND_NAMES[kind]}")
-    return obj[key]
+    value = obj[key]
+    if not _conforms(value, kind):
+        name = _KIND_NAMES.get(kind) or (
+            "an object or null" if type(None) in _members(kind) else "an object")
+        raise DataError(f"{where} {key!r} must be {name}")
+    if kind is np.ndarray:
+        return np.asarray(value, dtype=float)
+    if isinstance(value, dict) and kind is not dict:
+        cls = next(k for k in _members(kind) if is_dataclass(k))
+        return json_dataclass(cls, value, f"{where} {key}")
+    return value
 
 
-def json_dataclass(cls, obj: dict, where: str):
+def json_dataclass(cls, obj, where: str):
     """The dataclass ``cls`` whose fields are the JSON object ``obj``: every
     field present with the kind of its type hint (see :func:`json_field`)
     and no other key; :class:`DataError` naming ``where`` otherwise.  A
     caller with defaults merges them into ``obj`` first."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{where} must be an object")
     unknown = sorted(set(obj) - {f.name for f in fields(cls)})
     if unknown:
         raise DataError(f"{where} has unknown key {unknown[0]!r}")
     return cls(**{name: json_field(obj, name, kind, where)
                   for name, kind in _type_hints(cls).items()})
-
-
-def json_numbers(obj, key: str, where: str) -> np.ndarray:
-    """``obj[key]`` as a float array, if it is a list of finite numbers."""
-    values = json_field(obj, key, list, where)
-    if not all(_conforms(v, float) for v in values):
-        raise DataError(f"{where} {key!r} must be a list of finite numbers")
-    return np.asarray(values, dtype=float)
 
 
 def load_csv(path, label_column, has_header: bool = True) -> Dataset:

@@ -72,6 +72,8 @@ class CvConfig:
     def __post_init__(self):
         if self.folds < 2:
             raise RelfError(f"folds must be >= 2, got {self.folds}")
+        if self.seed < 0:
+            raise RelfError(f"seed must be >= 0, got {self.seed!r}")
 
 
 def kfold_split(n: int, config: CvConfig | None = None):
@@ -383,6 +385,10 @@ class _Manifest:
     scale_features: bool = True
     intercept: bool = True
 
+    def __post_init__(self):
+        if self.outlier_seed < 0:
+            raise DataError(f"manifest 'outlier_seed' must be >= 0, got {self.outlier_seed!r}")
+
 
 @dataclass(frozen=True)
 class _DatasetEntry:
@@ -408,6 +414,9 @@ class _DatasetEntry:
         for key in needs[self.format]:
             if getattr(self, key) is None:
                 raise DataError(f"manifest dataset {self.name!r} lacks {key!r}")
+        if self.seed < 0:
+            raise DataError(f"manifest dataset {self.name!r} 'seed' must be >= 0, "
+                            f"got {self.seed!r}")
 
     def load(self, base: Path) -> Dataset:
         if self.format == "csv":
@@ -447,8 +456,8 @@ def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
             raise DataError(f"contamination level {level!r} is not a number in [0, 1]")
     base = Path(base_dir) if base_dir is not None else Path(".")
     cv = json_dataclass(CvConfig, {**asdict(CvConfig()), **top.cv}, "manifest cv")
-    solver_config = SolverConfig.from_dict({**asdict(SolverConfig()), **top.solver},
-                                           "manifest solver")
+    solver_config = json_dataclass(SolverConfig, {**asdict(SolverConfig()), **top.solver},
+                                   "manifest solver")
     levels = [float(v) for v in top.contamination_levels]
     methods = [parse_method(s, solver_config) for s in top.methods]
     # cells are looked up by (dataset, method, level), so each must be unique

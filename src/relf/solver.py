@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import linalg
-from .data import (Dataset, FoldStack, Preprocessing, json_dataclass, json_field, json_numbers,
-                   load_json)
+from .data import Dataset, FoldStack, Preprocessing, json_dataclass, load_json
 from .exceptions import (
     DegenerateTraceWarning,
     DimensionMismatchError,
@@ -59,7 +58,10 @@ class SolverConfig:
     max_iters : hard cap on alternating iterations.
     rel_tol : stop once ``|R_prev - R| <= rel_tol * max(1, R_prev)``.
     init : ``"zeros"`` (deterministic default) or ``"gaussian"``
-        (isotropic N(0, init_std^2), seeded by ``init_seed``).
+        (isotropic N(0, init_std^2), seeded by ``init_seed`` >= 0).
+
+    Every field is checked where the config is built: a bad value raises
+    :class:`RelfError` from the constructor, not from :func:`fit`.
     """
 
     alpha: float = field(default=1e-8, metadata={
@@ -70,15 +72,7 @@ class SolverConfig:
     init_seed: int = 0
     init_std: float = 1.0
 
-    @classmethod
-    def from_dict(cls, obj, where: str) -> "SolverConfig":
-        """The config :func:`data.json_dataclass` reads from the JSON object
-        ``obj``, if :meth:`validate` accepts it; errors name ``where``."""
-        config = json_dataclass(cls, obj, where)
-        config.validate()
-        return config
-
-    def validate(self) -> None:
+    def __post_init__(self):
         if not np.isfinite(self.alpha) or self.alpha < 0:
             raise RelfError(f"alpha must be >= 0, got {self.alpha!r}")
         if self.max_iters < 1:
@@ -87,6 +81,8 @@ class SolverConfig:
             raise RelfError(f"rel_tol must be >= 0, got {self.rel_tol!r}")
         if self.init not in (INIT_ZEROS, INIT_GAUSSIAN):
             raise RelfError(f"init must be 'zeros' or 'gaussian', got {self.init!r}")
+        if self.init_seed < 0:
+            raise RelfError(f"init_seed must be >= 0, got {self.init_seed!r}")
         if not np.isfinite(self.init_std) or self.init_std <= 0:
             raise RelfError(f"init_std must be > 0, got {self.init_std!r}")
 
@@ -241,7 +237,6 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
         fold's :class:`NonFiniteObjectiveError`, earlier folds' included.
     """
     config = config or SolverConfig()
-    config.validate()
     validate_ensemble(ensemble)
 
     if config.init == INIT_GAUSSIAN:
@@ -250,8 +245,7 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
     else:
         w = np.zeros((stack.k, stack.d))
 
-    risks = np.empty((config.max_iters, stack.k))
-    steps = np.empty((config.max_iters, stack.k))
+    risks, steps = [], []  # one (k,) row per iteration
     iterations = np.zeros(stack.k, dtype=int)
     converged = np.zeros(stack.k, dtype=bool)
     active = np.ones(stack.k, dtype=bool)
@@ -285,11 +279,11 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
                     f"objective became non-finite at iteration {it}")
             live = active & finite
             # frozen folds record NaN, which no later comparison can warn on
-            risks[it - 1] = np.where(live, risk, np.nan)
-            steps[it - 1] = np.max(np.abs(w_next - w), axis=1) if stack.d else 0.0
+            risks.append(np.where(live, risk, np.nan))
+            steps.append(np.max(np.abs(w_next - w), axis=1) if stack.d else np.zeros(stack.k))
             if it > 1:
-                prev = risks[it - 2]
-                converged |= live & (np.abs(prev - risks[it - 1])
+                prev = risks[-2]
+                converged |= live & (np.abs(prev - risks[-1])
                                      <= config.rel_tol * np.maximum(1.0, prev))
             iterations[live] = it
             # frozen folds keep their iterate; the new arrays are taken
@@ -301,6 +295,7 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
             if not active.any():
                 break
         freeze(cols, np.flatnonzero(active))
+    risks, steps = np.array(risks), np.array(steps)
 
     models = []
     for j in range(stack.k):
@@ -364,67 +359,70 @@ def decrease_ratio(trace: SolverTrace, early: int = 10, final: int = 30) -> floa
 
 # --- model (de)serialization ------------------------------------------------
 
-def model_to_dict(model: RelfModel) -> dict:
-    """JSON-ready representation of a fitted model."""
-    return {
-        "schema": MODEL_SCHEMA,
-        "w": [float(v) for v in model.w],
-        "loss_weights": [float(v) for v in model.loss_weights],
-        "ensemble": [{"kind": s.kind, "scale": float(s.scale)}
-                     for s in model.ensemble.losses],
-        "config": asdict(model.config),
-        "trace": None if model.trace is None else {
-            "risks": [float(v) for v in model.trace.risks],
-            "max_steps": [float(v) for v in model.trace.max_steps],
-            "iterations": model.trace.iterations,
-            "converged": model.trace.converged,
-        },
-        "preprocessing": model.preprocessing.to_dict(),
-    }
+#: How far a model file's ``loss_weights`` may sum from 1.
+LOSS_WEIGHTS_TOL = 1e-9
 
 
-def model_from_dict(payload: dict) -> RelfModel:
-    """Inverse of :func:`model_to_dict`.
+@dataclass
+class _ModelFile(RelfModel):
+    """A model file's top level: a :class:`RelfModel` with its ``schema``,
+    read with its ensemble as the list of its losses.
 
-    Raises :class:`RelfError` for a payload that :func:`model_to_dict`
-    could not have written: a missing key, a value of the wrong type, a
-    non-finite number, an invalid ensemble or config, or a ``w`` whose
-    length disagrees with the scaler width plus the intercept.  A missing
-    or empty ``preprocessing`` is the identity.
+    Each level's class checks its own keys, JSON types and values.  This
+    one checks what :func:`fit` guarantees across levels: one non-negative
+    loss weight per loss, summing to 1 within :data:`LOSS_WEIGHTS_TOL`; a
+    trace of ``iterations`` risks and steps, ``1 <= iterations <=
+    config.max_iters``; and scaler ranges as wide as ``w`` but the
+    intercept.
     """
-    if not isinstance(payload, dict):
-        raise RelfError("model JSON must be an object")
-    if payload.get("schema") != MODEL_SCHEMA:
-        raise RelfError(f"unsupported model schema {payload.get('schema')!r}")
-    ensemble = EnsembleSpec(tuple(
-        LossSpec(kind=json_field(e, "kind", str, "model loss"),
-                 scale=float(json_field(e, "scale", float, "model loss")))
-        for e in json_field(payload, "ensemble", list, "model")))
-    validate_ensemble(ensemble)
-    config = SolverConfig.from_dict(json_field(payload, "config", dict, "model"),
-                                    "model config")
-    w = json_numbers(payload, "w", "model")
-    loss_weights = json_numbers(payload, "loss_weights", "model")
-    if loss_weights.shape != (ensemble.m,):
-        raise RelfError(f"model has {loss_weights.shape[0]} loss weights "
-                        f"for {ensemble.m} losses")
-    tr = payload.get("trace")
-    trace = None if tr is None else SolverTrace(
-        risks=json_numbers(tr, "risks", "model trace"),
-        max_steps=json_numbers(tr, "max_steps", "model trace"),
-        iterations=json_field(tr, "iterations", int, "model trace"),
-        converged=json_field(tr, "converged", bool, "model trace"),
-    )
-    preprocessing = Preprocessing.from_dict(payload.get("preprocessing") or {}, w.shape[0])
-    return RelfModel(w=w, loss_weights=loss_weights, ensemble=ensemble,
-                     config=config, trace=trace, preprocessing=preprocessing)
+
+    ensemble: list
+    schema: str = MODEL_SCHEMA
+
+    def __post_init__(self):
+        if self.schema != MODEL_SCHEMA:
+            raise RelfError(f"unsupported model schema {self.schema!r}")
+        self.ensemble = EnsembleSpec([json_dataclass(LossSpec, loss, "model loss")
+                                      for loss in self.ensemble])
+        validate_ensemble(self.ensemble)
+        lam = self.loss_weights
+        if lam.shape != (self.ensemble.m,):
+            raise RelfError(f"model has {lam.shape[0]} loss weights "
+                            f"for {self.ensemble.m} losses")
+        if np.any(lam < 0) or not abs(lam.sum() - 1.0) <= LOSS_WEIGHTS_TOL:
+            raise RelfError(f"model loss weights must be non-negative and sum to 1 "
+                            f"within {LOSS_WEIGHTS_TOL:g}")
+        trace = self.trace
+        if trace is not None and not (
+                len(trace.risks) == len(trace.max_steps) == trace.iterations
+                and 1 <= trace.iterations <= self.config.max_iters):
+            raise RelfError(f"model trace has {len(trace.risks)} risks and "
+                            f"{len(trace.max_steps)} steps for {trace.iterations} "
+                            f"iterations of at most {self.config.max_iters}")
+        scaler, intercept = self.preprocessing.scaler, self.preprocessing.intercept
+        if scaler is not None:
+            lo, hi = scaler.feature_min.shape[0], scaler.feature_max.shape[0]
+            if lo != hi:
+                raise RelfError(f"model scaler has {lo} minima and {hi} maxima")
+            if self.w.shape[0] != lo + intercept:
+                raise RelfError(f"model has {self.w.shape[0]} weights, but its "
+                                f"preprocessing yields {lo + intercept} columns")
 
 
 def save_model(model: RelfModel, path) -> None:
+    """Write ``model`` as a model file: :func:`dataclasses.asdict` of it,
+    arrays as lists, its ensemble the list of its losses, plus the
+    ``schema``."""
+    payload = asdict(model)
+    payload.update(schema=MODEL_SCHEMA, ensemble=payload["ensemble"]["losses"])
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=lambda a: a.tolist())
         fh.write("\n")
 
 
 def load_model(path) -> RelfModel:
-    return model_from_dict(load_json(path, "model"))
+    """The model in the file at ``path``, every level read by
+    :func:`data.json_dataclass`; :class:`RelfError` for a file that
+    :func:`save_model` could not have written (see :class:`_ModelFile`)."""
+    file = json_dataclass(_ModelFile, load_json(path, "model"), "model")
+    return RelfModel(**{f.name: getattr(file, f.name) for f in fields(RelfModel)})

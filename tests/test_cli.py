@@ -135,6 +135,18 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err == "solver error: objective became non-finite at iteration 1\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--init", "gaussian", "--init-seed", "-1"], "init_seed must be >= 0, got -1"),
+        (["--alpha", "-1"], "alpha must be >= 0, got -1.0"),
+    ])
+    def test_bad_solver_flag(self, tmp_path, capsys, flags, message):
+        # the config is checked where it is built, before anything runs
+        data = _write_toy_csv(tmp_path / "toy.csv")
+        code = main(["fit", "--data", str(data), "--label-column", "y", *flags])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert (out, err) == ("", f"error: {message}\n")
+
     def test_unknown_flag(self, capsys):
         code = main(["fit", "--data", "x.csv", "--label-column", "y",
                      "--frobnicate"])
@@ -172,6 +184,23 @@ class TestToyCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("solver error:")
+
+    def test_negative_seed_is_an_input_error(self, capsys):
+        code = main(["toy", "--seed", "-1"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert (out, err) == ("", "error: seed must be >= 0, got -1\n")
+
+    def test_max_iters_far_past_convergence(self, capsys):
+        # the trace grows one row per iteration, so a cap that is never
+        # reached allocates nothing
+        assert main(["toy"]) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert main(["toy", "--max-iters", "100000000000"]) == 0
+        huge = capsys.readouterr().out.splitlines()
+        assert plain[0].startswith("config:") and huge[0].startswith("config:")
+        assert '"max_iters": 100000000000' in huge[0]
+        assert huge[1:] == plain[1:]
 
     def test_failed_factorization_is_one_solver_error_line(self, monkeypatch, capsys):
         from relf import linalg
@@ -307,6 +336,25 @@ class TestPredictCommand:
         (lambda m: m["trace"].pop("risks"), "trace lacks 'risks'"),
         (lambda m: m["preprocessing"]["scaler"].pop("feature_max"), "scaler lacks 'feature_max'"),
         (lambda m: m.update(preprocessing=["x"]), "'preprocessing' must be an object"),
+        # an unknown key at any level
+        (lambda m: m.update(zz=1), "model has unknown key 'zz'"),
+        (lambda m: m["ensemble"][0].update(zz=1), "model loss has unknown key 'zz'"),
+        (lambda m: m["trace"].update(zz=1), "model trace has unknown key 'zz'"),
+        (lambda m: m["preprocessing"].update(zz=1), "model preprocessing has unknown key 'zz'"),
+        (lambda m: m["preprocessing"]["scaler"].update(zz=1),
+         "model preprocessing scaler has unknown key 'zz'"),
+        # what fit guarantees: simplex loss weights and a trace of
+        # ``iterations`` rows, at least 1 and at most ``max_iters``
+        (lambda m: m.update(loss_weights=[-5.0, 3.0, 3.0]),
+         "loss weights must be non-negative and sum to 1 within 1e-09"),
+        (lambda m: m.update(loss_weights=[0.5, 0.5, 0.5]), "must be non-negative and sum to 1"),
+        (lambda m: m["trace"].update(iterations=99), "for 99 iterations of at most 30"),
+        (lambda m: m["trace"]["risks"].append(1.0), "model trace has"),
+        (lambda m: m["trace"].update(risks=[], max_steps=[], iterations=0),
+         "0 risks and 0 steps for 0 iterations"),
+        (lambda m: m["config"].update(max_iters=1), "iterations of at most 1"),
+        # a config value is checked where the config is built
+        (lambda m: m["config"].update(init_seed=-1), "init_seed must be >= 0, got -1"),
     ])
     def test_malformed_model(self, tmp_path, capsys, mutate, message):
         data = _write_toy_csv(tmp_path / "toy.csv")
@@ -434,6 +482,15 @@ class TestBenchCommand:
         # a value the type admits but NoiseConfig does not
         ({"outlier_magnitude": 1e400, "datasets": [_LINE_ENTRY], "methods": ["ols"]},
          "error: outlier_magnitude must be > 0, got inf\n"),
+        # a negative seed, wherever a manifest sets one
+        ({"outlier_seed": -1, "datasets": [_LINE_ENTRY], "methods": ["relf"]},
+         "error: manifest 'outlier_seed' must be >= 0, got -1\n"),
+        ({"cv": {"seed": -1}, "datasets": [_LINE_ENTRY], "methods": ["relf"]},
+         "error: seed must be >= 0, got -1\n"),
+        ({"datasets": [{**_LINE_ENTRY, "seed": -1}], "methods": ["relf"]},
+         "error: manifest dataset 'line' 'seed' must be >= 0, got -1\n"),
+        ({"solver": {"init": "gaussian", "init_seed": -1}, "datasets": [_LINE_ENTRY],
+          "methods": ["relf"]}, "error: init_seed must be >= 0, got -1\n"),
     ])
     def test_bench_malformed_manifest(self, tmp_path, capsys, manifest, message):
         path = tmp_path / "manifest.json"
@@ -538,6 +595,36 @@ def test_manifest_fuzz(tmp_path, capsys):
             assert not any(name in line for line in failed), (edits, failed)
         outcomes.add(code)
     assert outcomes == {0, 1, 3}
+
+
+def test_model_fuzz(tmp_path, capsys):
+    # no mutated model file ends in a traceback or a warning: exit 1 and one
+    # error line for a file that save_model could not have written, else
+    # predictions
+    data = _write_toy_csv(tmp_path / "toy.csv")
+    path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data), "--label-column", "y", "--scale",
+                 "--output", str(path)]) == 0
+    capsys.readouterr()
+    model = json.loads(path.read_text())
+    slots = list(_fuzz_slots(model))
+    edits = [(p, value) for p, _ in slots for value in (*_FUZZ_VALUES, [], "<delete>")]
+    edits += [(p + ("zz",), 1) for p in [()] + [p for p, is_obj in slots if is_obj]]
+    outcomes = set()
+    for payload in [None, [model], "x", *(_mutate(model, [edit]) for edit in edits)]:
+        path.write_text(json.dumps(payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["predict", "--model", str(path), "--data", str(data),
+                         "--label-column", "y"])
+        err = capsys.readouterr().err
+        assert code in (0, 1), (payload, code, err)
+        if code == 1:
+            assert err.startswith("error:") and err.count("\n") == 1, (payload, err)
+        else:
+            assert err == "", (payload, err)
+        outcomes.add(code)
+    assert outcomes == {0, 1}
 
 
 class TestUndecodableInput:

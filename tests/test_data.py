@@ -16,6 +16,7 @@ from relf import (
     Dataset,
     NoiseConfig,
     Preprocessing,
+    ScalerState,
     add_intercept,
     apply_scaler,
     fit,
@@ -28,7 +29,8 @@ from relf import (
     synth_line,
 )
 from relf.cli import main
-from relf.data import NOISE_GAUSSIAN, NOISE_OUTLIER, _parse_libsvm_checked, minmax_map
+from relf.data import (NOISE_GAUSSIAN, NOISE_OUTLIER, _parse_libsvm_checked, json_dataclass,
+                       minmax_map)
 from relf.exceptions import (
     DataError,
     DataIOError,
@@ -618,6 +620,10 @@ class TestNoiseConfig:
                 "outlier_fraction must lie in [0, 1], got -0.1")):
             NoiseConfig(mode=NOISE_OUTLIER, outlier_fraction=-0.1)
 
+    def test_negative_seed(self):
+        with pytest.raises(DataError, match=re.escape("seed must be >= 0, got -1")):
+            NoiseConfig(mode=NOISE_GAUSSIAN, seed=-1)
+
     def test_other_guards(self):
         with pytest.raises(DataError):
             NoiseConfig(mode="salt-and-pepper")
@@ -625,3 +631,33 @@ class TestNoiseConfig:
             NoiseConfig(mode=NOISE_GAUSSIAN, gaussian_std=-1.0)
         with pytest.raises(DataError):
             NoiseConfig(mode=NOISE_OUTLIER, outlier_magnitude=0.0)
+
+
+class TestJsonDataclass:
+    def test_array_and_nested_dataclass_kinds(self):
+        # a list of numbers is read as a float array, an object as the
+        # dataclass of the field's type hint, null as None where it allows
+        obj = {"intercept": True, "scaler": {"feature_min": [0, 1.5], "feature_max": [2, 3]}}
+        prep = json_dataclass(Preprocessing, obj, "p")
+        assert prep == Preprocessing(ScalerState(np.array([0.0, 1.5]), np.array([2.0, 3.0])), True)
+        assert prep.scaler.feature_min.dtype == float
+        assert json_dataclass(Preprocessing, {"intercept": False, "scaler": None}, "p") == (
+            Preprocessing())
+
+    @pytest.mark.parametrize("obj, message", [
+        ([], "p must be an object"),
+        ({"intercept": True}, "p lacks 'scaler'"),
+        ({"intercept": True, "scaler": [1]}, "p 'scaler' must be an object or null"),
+        ({"intercept": True, "scaler": {"feature_min": [0], "feature_max": [1], "x": 1}},
+         "p scaler has unknown key 'x'"),
+        ({"intercept": True, "scaler": {"feature_min": [float("inf")], "feature_max": [1]}},
+         "p scaler 'feature_min' must be a list of finite numbers"),
+        ({"intercept": True, "scaler": {"feature_min": [True], "feature_max": [1]}},
+         "p scaler 'feature_min' must be a list of finite numbers"),
+        ({"intercept": True, "scaler": {"feature_min": [[0]], "feature_max": [1]}},
+         "p scaler 'feature_min' must be a list of finite numbers"),
+    ])
+    def test_errors_name_the_level(self, obj, message):
+        with pytest.raises(DataError) as info:
+            json_dataclass(Preprocessing, obj, "p")
+        assert str(info.value) == message

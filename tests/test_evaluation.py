@@ -126,6 +126,10 @@ class TestKfold:
                 assert np.intersect1d(tr, te).size == 0
                 assert tr.size + te.size == n
 
+    def test_negative_seed(self):
+        with pytest.raises(RelfError, match="seed must be >= 0, got -1"):
+            CvConfig(seed=-1)
+
     def test_deterministic(self):
         a = kfold_split(20, CvConfig(folds=4, seed=3))
         b = kfold_split(20, CvConfig(folds=4, seed=3))

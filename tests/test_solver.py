@@ -476,6 +476,15 @@ class TestFit:
         with pytest.raises(RelfError):
             fit(ds, ens, SolverConfig(rel_tol=float("nan")))
 
+    @pytest.mark.parametrize("bad", [dict(max_iters=0), dict(alpha=-1.0), dict(init="warmstart"),
+                                     dict(rel_tol=float("nan")), dict(init_seed=-1),
+                                     dict(init_std=0.0)])
+    def test_config_is_checked_where_built(self, bad):
+        with pytest.raises(RelfError):
+            SolverConfig(**bad)
+        with pytest.raises(RelfError):
+            replace(SolverConfig(), **bad)
+
     @pytest.mark.parametrize("ensemble", ["welsch,l1l2,huber", "l1l2", "huber:0.01",
                                           "fair:0.01", "fair:100", "logcosh"])
     @pytest.mark.parametrize("labels", [[1e308, -1e308, 1.0, 2.0, 3e307],
@@ -657,6 +666,22 @@ class TestSerialization:
         assert np.array_equal(back.trace.risks, model.trace.risks)
         assert back.trace.converged == model.trace.converged
         assert back.preprocessing == model.preprocessing
+
+    @settings(max_examples=40, deadline=None)
+    @given(_robust_fits())
+    def test_every_fit_loads(self, tmp_path_factory, case):
+        # the reader's checks hold for every model fit writes
+        ds, ensemble = case
+        try:
+            model = fit(ds, ensemble, SolverConfig(max_iters=10))
+        except NonFiniteObjectiveError:  # every weight redescended to zero
+            return
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(model, path)
+        back = load_model(path)
+        assert np.array_equal(back.w, model.w)
+        assert np.array_equal(back.loss_weights, model.loss_weights)
+        assert np.array_equal(back.trace.max_steps, model.trace.max_steps)
 
     def test_bad_schema(self, tmp_path):
         path = tmp_path / "m.json"

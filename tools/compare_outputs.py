@@ -12,8 +12,9 @@ thread, on inputs generated once here from fixed seeds:
   ``model.json``, ``predictions.csv``, ``report.csv`` and ``report.json``
   (whose ``seconds`` fields, being wall-clock times, are left out);
 * the CLI on a fixed corpus of malformed inputs (:data:`ERROR_CASES`: bad
-  files, bad loss lists, bad flags and manifests): stdout, exit status and
-  stderr, so an error's message and exit code are compared too;
+  files, bad loss lists, bad flags, manifests and model files): stdout,
+  exit status and stderr, so an error's message and exit code are compared
+  too;
 * every ``demos/*.py`` of the checkout under ``python -W error``: its stdout
   and exit status;
 * the benchmark's fit-tall op (``benchmarks/workloads.py`` of ``NEW``, at
@@ -88,6 +89,10 @@ ERROR_CASES = (
     # a manifest that does not follow its schema stops before any cell
     *((name, 1, ["bench", "--manifest", f"{{in}}/{name}.json", "--output-dir", name])
       for name in ("unknown-cv-key", "mistyped-entry", "csv-without-label-column")),
+    # so does a model file that relf fit could not have written
+    *((name, 1, ["predict", "--model", f"{{in}}/{name}.json", "--data", "{in}/test.csv",
+                 "--label-column", "y"])
+      for name in ("model-missing-key", "model-unknown-key", "model-off-simplex-weights")),
 )
 
 
@@ -155,6 +160,19 @@ def make_inputs(root: Path, csv_rows: int) -> None:
                       ("csv-without-label-column",
                        {"datasets": [{k: v for k, v in entry.items() if k != "label_column"}]})):
         (root / f"{name}.json").write_text(json.dumps({**too_many, "cv": {}, **bad}) + "\n")
+    # a model of the CSV pair's six features and an intercept, each file
+    # with one flaw
+    model = {"schema": "relf.model/1", "w": [0.5] * 7, "loss_weights": [0.25, 0.75],
+             "ensemble": [{"kind": "welsch", "scale": 1.5}, {"kind": "l1l2", "scale": 1.0}],
+             "config": {"alpha": 1e-8, "init": "zeros", "init_seed": 0, "init_std": 1.0,
+                        "max_iters": 30, "rel_tol": 1e-8},
+             "trace": {"risks": [2.0, 1.0], "max_steps": [0.5, 0.25], "iterations": 2,
+                       "converged": True},
+             "preprocessing": {"intercept": True, "scaler": None}}
+    for name, bad in (("model-missing-key", {k: v for k, v in model.items() if k != "config"}),
+                      ("model-unknown-key", {**model, "weights": [1.0]}),
+                      ("model-off-simplex-weights", {**model, "loss_weights": [0.5, 0.75]})):
+        (root / f"{name}.json").write_text(json.dumps(bad, indent=2) + "\n")
 
 
 # --- one checkout's outputs -----------------------------------------------------
