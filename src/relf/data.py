@@ -76,19 +76,38 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FoldStack:
-    """The designs of ``k`` folds stacked on a leading axis: ``X`` is
-    (k, rows, d) and ``y`` is (k, rows).
+    """``k`` fold systems on a leading axis: labels ``y`` (k, rows) over
+    designs ``X`` (designs, rows, d), where ``k`` is a whole multiple of
+    the designs and system ``i`` is fitted on design ``i % designs``.
 
-    Fold ``j`` holds ``counts[j]`` rows; a shorter fold is padded up to
-    ``rows`` with all-zero rows and zero labels, which no sum or product
-    includes (see :attr:`runs`), so each fold gives a lone fit's bits.  A
+    So the L label stacks of one split's folds (contamination levels) share
+    its designs: ``X`` is held once, not L times.  System ``i`` holds
+    ``counts[i]`` rows, the same as its design; a shorter fold is padded up
+    to ``rows`` with all-zero rows and zero labels, which no sum or product
+    includes (see :attr:`runs`), so each system gives a lone fit's bits.  A
     single :class:`Dataset` is the one-fold stack :meth:`of`, which shares
-    its arrays.
+    its arrays.  Shapes that disagree raise :class:`DimensionMismatchError`.
     """
 
     X: np.ndarray
     y: np.ndarray
     counts: np.ndarray
+
+    def __post_init__(self):
+        X, y = self.X, self.y
+        if X.ndim != 3 or y.ndim != 2 or y.shape[1] != X.shape[1] or not len(X):
+            raise DimensionMismatchError(
+                f"labels of shape {y.shape} for designs of shape {X.shape}")
+        designs, rows = X.shape[:2]
+        if self.k % designs:
+            raise DimensionMismatchError(
+                f"{self.k} label rows are not a whole multiple of {designs} designs")
+        counts = self.counts
+        if (counts.shape != (self.k,) or np.any(counts < 0) or np.any(counts > rows)
+                or np.any(counts.reshape(-1, designs) != counts[:designs])):
+            raise DimensionMismatchError(
+                f"counts {counts.tolist()} do not fit {self.k} systems of at most {rows} "
+                f"rows on {designs} designs")
 
     @classmethod
     def of(cls, ds: Dataset) -> "FoldStack":
@@ -96,11 +115,12 @@ class FoldStack:
 
     @property
     def k(self) -> int:
-        return self.X.shape[0]
+        """Systems, one per label row."""
+        return self.y.shape[0]
 
     @property
     def n(self) -> int:
-        """Real rows over all folds, which the w-step sums over."""
+        """Real rows over all systems, which the w-step sums over."""
         return int(self.counts.sum())
 
     @property
@@ -108,11 +128,16 @@ class FoldStack:
         return self.X.shape[2]
 
     @cached_property
-    def runs(self) -> list[tuple[slice, int]]:
-        """``(folds, count)`` per run of adjacent folds of ``count`` rows
-        each: a batched sum over ``X[folds, :count]`` skips the padding."""
-        edges = [0, *(np.flatnonzero(np.diff(self.counts)) + 1), self.k]
-        return [(slice(a, b), int(self.counts[a])) for a, b in zip(edges, edges[1:])]
+    def runs(self) -> list[tuple[slice, slice, int]]:
+        """``(folds, designs, count)`` per run of adjacent systems of
+        ``count`` rows each that lie within one pass over the designs: a
+        batched sum over ``X[designs, :count]`` against ``y[folds, :count]``
+        skips the padding."""
+        period, counts = len(self.X), self.counts.tolist()
+        edges = [0, *(i for i in range(1, self.k)
+                      if i % period == 0 or counts[i] != counts[i - 1]), self.k]
+        return [(slice(a, b), slice(a % period, a % period + b - a), counts[a])
+                for a, b in zip(edges, edges[1:])]
 
 
 @dataclass(frozen=True)
@@ -556,10 +581,12 @@ def minmax_map(values, lo, hi, out=None):
     return out
 
 
-def feature_map(X, lo=None, hi=None, intercept: bool = False) -> np.ndarray:
+def feature_map(X, lo=None, hi=None, intercept: bool = False, out=None) -> np.ndarray:
     """Features ``X`` (..., d) mapped by ``lo``/``hi`` (:func:`minmax_map`; as
-    they are if None), then ones appended if ``intercept``, into one new array."""
-    out = np.empty(X.shape[:-1] + (X.shape[-1] + intercept,))
+    they are if None), then ones appended if ``intercept``, into ``out`` if
+    given, else into one new array."""
+    if out is None:
+        out = np.empty(X.shape[:-1] + (X.shape[-1] + intercept,))
     if lo is None:
         out[..., :X.shape[-1]] = X
     else:

@@ -36,7 +36,7 @@ from .data import (
 )
 from .exceptions import DataError, DegenerateTraceWarning, RelfError
 from .losses import DEFAULT_ENSEMBLE_TEXT, EnsembleSpec, parse_ensemble
-from .solver import SolverConfig, decrease_ratio, fit, fit_folds
+from .solver import SolverConfig, decrease_ratio, fit, fit_folds, gram_block_rows
 from . import linalg
 
 
@@ -116,8 +116,8 @@ def _least_squares(train: FoldStack, labels, ridge_alpha: float) -> np.ndarray:
     labels = np.asarray(labels, dtype=float)
     A = np.empty((train.k, train.d, train.d))
     b = np.empty((len(labels), train.k, train.d, 1))
-    for folds, count in train.runs:
-        X = train.X[folds, :count]
+    for folds, designs, count in train.runs:
+        X = train.X[designs, :count]
         A[folds] = X.transpose(0, 2, 1) @ X
         b[:, folds] = X.transpose(0, 2, 1) @ labels[:, folds, :count, None]
     A = 0.5 * (A + A.transpose(0, 2, 1))
@@ -137,10 +137,10 @@ class RelfMethod:
     def fold_weights(self, train: FoldStack, labels) -> np.ndarray:
         """One ``w`` per fold of ``train`` and label stack of ``labels``
         (L, k, rows), (L, k, d): the L levels' folds are fitted in one
-        solver loop on an (L*k, rows, d) stack."""
+        solver loop, as L*k systems on ``train``'s own designs, which are
+        not copied."""
         levels = len(labels)
-        stack = FoldStack(np.concatenate([train.X] * levels), np.concatenate(labels),
-                          np.tile(train.counts, levels))
+        stack = FoldStack(train.X, np.concatenate(labels), np.tile(train.counts, levels))
         w = np.stack([m.w for m in fit_folds(stack, self.ensemble, self.config)])
         return w.reshape(levels, train.k, train.d)
 
@@ -238,34 +238,42 @@ def cv_folds(ds: Dataset, cv: CvConfig | None = None, *,
     (if ``scale_features``), then the intercept column is appended (if
     ``intercept``).  Folds shorter than the longest are padded with
     all-zero rows (see :class:`FoldStack`).  A stack takes
-    ``k * rows * d * 8`` bytes.
+    ``k * rows * d * 8`` bytes: the training stack holds about ``k - 1``
+    copies of the design, the test stack one.
+
+    Each fold's rows are gathered and mapped straight into their place in
+    the stack, one fold at a time and :func:`solver.gram_block_rows` rows
+    at a time, and its ranges are read off ``ds`` in place, so besides the
+    two stacks and the split's index arrays only one block of gathered
+    rows is held at once.
     """
     if intercept and ds.has_intercept:
         raise DataError("dataset already has an intercept column")
     splits = kfold_split(ds.n, cv or CvConfig())
-    train, train_pad = _gather(ds, [tr for tr, _ in splits])
-    test, test_pad = _gather(ds, [te for _, te in splits])
-    lo = hi = None
-    if scale_features:
-        # padding repeats a fold's first row, so it leaves min and max alone
-        lo, hi = train.X.min(axis=1, keepdims=True), train.X.max(axis=1, keepdims=True)
-    stacks = []
-    for stack, pad in ((train, train_pad), (test, test_pad)):
-        X = feature_map(stack.X, lo, hi, intercept)  # as Preprocessing maps a dataset
-        X[pad], stack.y[pad] = 0.0, 0.0
-        stacks.append(replace(stack, X=X))
+    stacks = [_zero_stack(sets, ds.d + intercept) for sets in zip(*splits)]  # training, test
+    block = gram_block_rows(ds.d)
+    for j, (train, test) in enumerate(splits):
+        lo = hi = None
+        if scale_features:  # the training rows' ranges, read in place
+            is_train = np.ones((ds.n, 1), dtype=bool)
+            is_train[test] = False
+            lo = ds.X.min(axis=0, where=is_train, initial=np.inf)
+            hi = ds.X.max(axis=0, where=is_train, initial=-np.inf)
+        for stack, ix in zip(stacks, (train, test)):
+            for start in range(0, len(ix), block):  # no fold-sized copy
+                part = ix[start:start + block]
+                feature_map(ds.X[part], lo, hi, intercept,
+                            out=stack.X[j, start:start + len(part)])
+            stack.y[j, :len(ix)] = ds.y[ix]
     return CvFolds(*stacks)
 
 
-def _gather(ds: Dataset, index_sets) -> tuple[FoldStack, np.ndarray]:
-    """The rows of each index set stacked, a short set padded with copies
-    of its first row, and the (k, rows) mask of those copies."""
+def _zero_stack(index_sets, d: int) -> FoldStack:
+    """An all-zero stack of ``d`` columns with one fold per index set, as
+    long as the set."""
     counts = np.array([len(ix) for ix in index_sets])
     rows = int(counts.max())
-    idx = np.stack([np.concatenate([ix, np.full(rows - len(ix), ix[0])])
-                    for ix in index_sets])
-    pad = np.arange(rows) >= counts[:, None]
-    return FoldStack(ds.X[idx], ds.y[idx], counts), pad
+    return FoldStack(np.zeros((len(counts), rows, d)), np.zeros((len(counts), rows)), counts)
 
 
 def train_labels(folds: CvFolds, contamination: NoiseConfig | None = None,
@@ -299,8 +307,8 @@ def cross_validate(folds: CvFolds, method, labels=None) -> list[CvResult]:
     test = folds.test
     w = method.fold_weights(folds.train, labels)
     fold_mae, fold_rmse = np.empty(w.shape[:2]), np.empty(w.shape[:2])
-    for run, count in test.runs:  # the errors, mae and rmse of each fold's own rows
-        err = test.y[run, :count] - (test.X[run, :count] @ w[:, run, :, None])[..., 0]
+    for run, designs, count in test.runs:  # the errors, mae and rmse of each fold's own rows
+        err = test.y[run, :count] - (test.X[designs, :count] @ w[:, run, :, None])[..., 0]
         fold_mae[:, run], fold_rmse[:, run] = error_metrics(err)
     return [CvResult(method.label, a, r) for a, r in zip(fold_mae, fold_rmse)]
 
@@ -391,10 +399,30 @@ class _Manifest:
 
 
 @dataclass(frozen=True)
+class _ManifestCv(CvConfig):
+    """The manifest's ``cv`` level: a :class:`CvConfig` whose value errors
+    name the level, as a dataset entry's do."""
+
+    def __post_init__(self):
+        try:
+            super().__post_init__()
+        except RelfError as exc:
+            raise DataError(f"manifest cv {exc}") from None
+
+
+#: The keys a manifest dataset entry of each format takes, beside ``name``
+#: and ``format``; it needs those whose default is None.
+_FORMAT_KEYS = {"csv": ("path", "label_column", "has_header"), "libsvm": ("path",),
+                "synthetic": ("noise_mode", "gaussian_std", "outlier_fraction",
+                              "outlier_magnitude", "seed")}
+
+
+@dataclass(frozen=True)
 class _DatasetEntry:
     """A manifest ``datasets`` entry: the ``"csv"`` or ``"libsvm"`` file at
     ``path``, relative to the manifest, or the ``"synthetic"`` line, whose
-    noise keys default to :class:`NoiseConfig`'s."""
+    noise keys default to :class:`NoiseConfig`'s.  Each format takes its own
+    keys (:data:`_FORMAT_KEYS`) and no other format's."""
 
     name: str
     format: str
@@ -407,11 +435,25 @@ class _DatasetEntry:
     outlier_magnitude: int | float = NoiseConfig.outlier_magnitude
     seed: int = NoiseConfig.seed
 
+    @classmethod
+    def read(cls, entry) -> "_DatasetEntry":
+        """The manifest entry ``entry`` read over the defaults by
+        :func:`data.json_dataclass`; a key that only another format takes
+        is refused too."""
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
+            raise DataError("every dataset entry needs a 'name' string")
+        where = f"manifest dataset {entry['name']!r}"
+        defaults = {f.name: f.default for f in fields(cls)[2:]}  # all but name, format
+        parsed = json_dataclass(cls, {**defaults, **entry}, where)
+        other = sorted(set(entry) - {"name", "format", *_FORMAT_KEYS[parsed.format]})
+        if other:
+            raise DataError(f"{where} of format {parsed.format!r} takes no key {other[0]!r}")
+        return parsed
+
     def __post_init__(self):
-        needs = {"csv": ("path", "label_column"), "libsvm": ("path",), "synthetic": ()}
-        if self.format not in needs:
+        if self.format not in _FORMAT_KEYS:
             raise DataError(f"unknown dataset format {self.format!r} for {self.name!r}")
-        for key in needs[self.format]:
+        for key in _FORMAT_KEYS[self.format]:
             if getattr(self, key) is None:
                 raise DataError(f"manifest dataset {self.name!r} lacks {key!r}")
         if self.seed < 0:
@@ -441,13 +483,7 @@ def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
     if not isinstance(manifest, dict):
         raise DataError("manifest must be a JSON object")
     top = json_dataclass(_Manifest, {**asdict(_Manifest()), **manifest}, "manifest")
-    defaults = {f.name: f.default for f in fields(_DatasetEntry)[2:]}  # all but name, format
-    entries = []
-    for entry in top.datasets:
-        if not (isinstance(entry, dict) and "name" in entry and isinstance(entry["name"], str)):
-            raise DataError("every dataset entry needs a 'name' string")
-        entries.append(json_dataclass(_DatasetEntry, {**defaults, **entry},
-                                      f"manifest dataset {entry['name']!r}"))
+    entries = [_DatasetEntry.read(entry) for entry in top.datasets]
     for method in top.methods:
         if not isinstance(method, str):
             raise DataError(f"manifest methods must be strings, got {method!r}")
@@ -455,7 +491,7 @@ def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
         if not (_conforms(level, float) and 0.0 <= level <= 1.0):
             raise DataError(f"contamination level {level!r} is not a number in [0, 1]")
     base = Path(base_dir) if base_dir is not None else Path(".")
-    cv = json_dataclass(CvConfig, {**asdict(CvConfig()), **top.cv}, "manifest cv")
+    cv = json_dataclass(_ManifestCv, {**asdict(CvConfig()), **top.cv}, "manifest cv")
     solver_config = json_dataclass(SolverConfig, {**asdict(SolverConfig()), **top.solver},
                                    "manifest solver")
     levels = [float(v) for v in top.contamination_levels]

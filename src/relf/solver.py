@@ -118,8 +118,8 @@ def residuals(w, stack: FoldStack) -> np.ndarray:
     if w.shape != (stack.k, stack.d):
         raise DimensionMismatchError(f"w has shape {w.shape}, expected ({stack.k}, {stack.d})")
     fitted = np.zeros(stack.y.shape + (1,))
-    for folds, count in stack.runs:
-        np.matmul(stack.X[folds, :count], w[folds, :, None], out=fitted[folds, :count])
+    for folds, designs, count in stack.runs:
+        np.matmul(stack.X[designs, :count], w[folds, :, None], out=fitted[folds, :count])
     return np.subtract(stack.y, fitted[..., 0], out=fitted[..., 0])
 
 
@@ -151,21 +151,22 @@ def update_w(stack: FoldStack, s, alpha: float) -> np.ndarray:
 
     Per fold, ``A = X^T S X`` and ``b = X^T S y`` are summed over the
     fold's own rows (:attr:`FoldStack.runs`) in row blocks of
-    :func:`gram_block_rows` rows, each weighted into one reused buffer, so
-    no weighted copy of X is made.  A fold whose ``A`` or ``b`` is not
-    finite (features near the float range overflow the Gram) gets a NaN
-    ``w``, which :func:`fit` reports as :class:`NonFiniteObjectiveError`.
+    :func:`gram_block_rows` rows, each weighted into one reused buffer as
+    wide as the widest run, so no weighted copy of X is made.  A fold whose
+    ``A`` or ``b`` is not finite (features near the float range overflow
+    the Gram) gets a NaN ``w``, which :func:`fit` reports as
+    :class:`NonFiniteObjectiveError`.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != stack.y.shape:
         raise DimensionMismatchError(f"s has shape {s.shape}, expected {stack.y.shape}")
-    k, n, d = stack.X.shape
+    _, n, d = stack.X.shape
     rows = gram_block_rows(d)
-    A = np.zeros((k, d, d))
-    b = np.zeros((k, d, 1))
-    buf = np.empty((k, min(rows, n), d))
-    for folds, count in stack.runs:
-        X, y, sf = stack.X[folds, :count], stack.y[folds, :count, None], s[folds, :count, None]
+    A = np.zeros((stack.k, d, d))
+    b = np.zeros((stack.k, d, 1))
+    buf = np.empty((max(f.stop - f.start for f, _, _ in stack.runs), min(rows, n), d))
+    for folds, designs, count in stack.runs:
+        X, y, sf = stack.X[designs, :count], stack.y[folds, :count, None], s[folds, :count, None]
         A_run, b_run = A[folds], b[folds]  # views: each block adds into them in place
         for start in range(0, count, rows):
             Xc = X[:, start:start + rows]
@@ -190,7 +191,7 @@ def objective(ensemble: EnsembleSpec, e, stack: FoldStack) -> np.ndarray:
     risk = np.zeros(stack.k)
     for spec in ensemble.losses:  # one loss's terms alive at a time
         terms = phi(spec, e)
-        for folds, count in stack.runs:
+        for folds, _, count in stack.runs:
             risk[folds] += np.sum(terms[folds, :count], axis=-1)
     return risk
 

@@ -486,11 +486,25 @@ class TestBenchCommand:
         ({"outlier_seed": -1, "datasets": [_LINE_ENTRY], "methods": ["relf"]},
          "error: manifest 'outlier_seed' must be >= 0, got -1\n"),
         ({"cv": {"seed": -1}, "datasets": [_LINE_ENTRY], "methods": ["relf"]},
-         "error: seed must be >= 0, got -1\n"),
+         "error: manifest cv seed must be >= 0, got -1\n"),
         ({"datasets": [{**_LINE_ENTRY, "seed": -1}], "methods": ["relf"]},
          "error: manifest dataset 'line' 'seed' must be >= 0, got -1\n"),
         ({"solver": {"init": "gaussian", "init_seed": -1}, "datasets": [_LINE_ENTRY],
           "methods": ["relf"]}, "error: init_seed must be >= 0, got -1\n"),
+        ({"cv": {"folds": 1}}, "error: manifest cv folds must be >= 2, got 1\n"),
+        # a key of another format than the entry's own
+        ({"datasets": [{**_CSV_ENTRY, "noise_mode": "outlier", "outlier_fraction": 0.5}]},
+         "error: manifest dataset 'a' of format 'csv' takes no key 'noise_mode'\n"),
+        ({"datasets": [{**_CSV_ENTRY, "seed": 3}]},
+         "error: manifest dataset 'a' of format 'csv' takes no key 'seed'\n"),
+        ({"datasets": [{"name": "b", "format": "libsvm", "path": "b.svm", "has_header": False}]},
+         "error: manifest dataset 'b' of format 'libsvm' takes no key 'has_header'\n"),
+        ({"datasets": [{"name": "b", "format": "libsvm", "path": "b.svm", "gaussian_std": 2}]},
+         "error: manifest dataset 'b' of format 'libsvm' takes no key 'gaussian_std'\n"),
+        ({"datasets": [{**_LINE_ENTRY, "path": "a.csv"}]},
+         "error: manifest dataset 'line' of format 'synthetic' takes no key 'path'\n"),
+        ({"datasets": [{**_LINE_ENTRY, "label_column": "y"}]},
+         "error: manifest dataset 'line' of format 'synthetic' takes no key 'label_column'\n"),
     ])
     def test_bench_malformed_manifest(self, tmp_path, capsys, manifest, message):
         path = tmp_path / "manifest.json"

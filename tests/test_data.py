@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 from relf import (
     DEFAULT_ENSEMBLE_TEXT,
     Dataset,
+    FoldStack,
     NoiseConfig,
     Preprocessing,
     ScalerState,
@@ -631,6 +632,41 @@ class TestNoiseConfig:
             NoiseConfig(mode=NOISE_GAUSSIAN, gaussian_std=-1.0)
         with pytest.raises(DataError):
             NoiseConfig(mode=NOISE_OUTLIER, outlier_magnitude=0.0)
+
+
+class TestFoldStack:
+    """Label rows over designs: system ``i`` is fitted on design ``i % designs``."""
+
+    @pytest.mark.parametrize("labels, counts, message", [
+        # labels of another row length than the designs
+        ((2, 4), [5, 5], "labels of shape (2, 4) for designs of shape (2, 5, 3)"),
+        ((3, 5), [5, 5, 5], "3 label rows are not a whole multiple of 2 designs"),
+        # counts of another length than the labels, or past the rows
+        ((4, 5), [5, 4, 5], "counts [5, 4, 5] do not fit 4 systems"),
+        ((2, 5), [6, 5], "counts [6, 5] do not fit 2 systems"),
+        ((2, 5), [-1, 5], "counts [-1, 5] do not fit 2 systems"),
+        # system 2 is fitted on design 0, which holds 5 rows, not 4
+        ((4, 5), [5, 4, 4, 5], "counts [5, 4, 4, 5] do not fit 4 systems"),
+    ])
+    def test_shapes_that_disagree(self, labels, counts, message):
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}"):
+            FoldStack(np.zeros((2, 5, 3)), np.zeros(labels), np.array(counts))
+
+    def test_designs_must_be_a_nonempty_stack(self):
+        for X in (np.zeros((5, 3)), np.zeros((0, 5, 3))):
+            with pytest.raises(DimensionMismatchError):
+                FoldStack(X, np.zeros((1, 5)), np.array([5]))
+
+    def test_runs_cut_at_each_pass_over_the_designs(self):
+        X = np.zeros((2, 5, 3))
+        runs = FoldStack(X, np.zeros((4, 5)), np.array([5, 4, 5, 4])).runs
+        assert runs == [(slice(0, 1), slice(0, 1), 5), (slice(1, 2), slice(1, 2), 4),
+                        (slice(2, 3), slice(0, 1), 5), (slice(3, 4), slice(1, 2), 4)]
+        runs = FoldStack(X, np.zeros((6, 5)), np.full(6, 5)).runs
+        assert runs == [(slice(0, 2), slice(0, 2), 5), (slice(2, 4), slice(0, 2), 5),
+                        (slice(4, 6), slice(0, 2), 5)]
+        stack = FoldStack.of(Dataset(np.ones((3, 2)), np.zeros(3)))
+        assert stack.k == 1 and stack.runs == [(slice(0, 1), slice(0, 1), 3)]
 
 
 class TestJsonDataclass:

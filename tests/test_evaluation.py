@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -509,6 +510,45 @@ class TestStackedCrossValidate:
                 assert np.all(stack.X[j, :m, -1] == 1.0)
         assert sorted(folds.test.counts) == [8] * 9 + [9]
         assert folds.train.X.shape == (10, 73, 2)
+
+
+class TestCvMemory:
+    """``cv_folds`` writes each stack once, and ``cross_validate`` fits
+    every contamination level on the one training stack."""
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        # 3 000 x 60: at this width the label-sized arrays of the solver
+        # loop and the split's index arrays are small next to a stack
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-5.0, 5.0, size=(3000, 60))
+        return Dataset(X=X, y=X @ rng.standard_normal(60) + rng.standard_normal(3000))
+
+    @staticmethod
+    def _peak(call):
+        call()  # once untraced, so one-time imports and caches are not counted
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_cv_folds_holds_the_stacks_and_one_fold(self, ds):
+        folds, peak = self._peak(lambda: cv_folds(ds, CvConfig(folds=10)))
+        train, test = folds.train, folds.test
+        stacks = sum(a.nbytes for s in (train, test) for a in (s.X, s.y, s.counts))
+        assert peak < stacks + train.X[0].nbytes
+
+    def test_levels_share_the_training_stack(self, ds):
+        folds = cv_folds(ds, CvConfig(folds=10))
+        labels = [train_labels(folds, None if level == 0 else NoiseConfig(
+            mode=NOISE_OUTLIER, outlier_fraction=level, seed=1), (0, i))
+            for i, level in enumerate((0.0, 0.1, 0.3))]
+        method = parse_method("relf")
+        results, peak = self._peak(lambda: cross_validate(folds, method, labels))
+        assert len(results) == 3
+        assert peak < folds.train.X.nbytes
 
 
 def _toy_manifest(tmp_path, extra_datasets=()):

@@ -239,6 +239,29 @@ class TestStackedSteps:
             assert np.array_equal(w[j], update_w(lone, S[j:j + 1], 1e-8)[0])
             assert risk[j] == objective(ens, e, lone)[0]
 
+    def test_shared_designs_match_copies(self):
+        # three label stacks over one padded stack of designs give the bits
+        # of the stack that repeats the designs, step by step and in fit
+        rng = np.random.default_rng(8)
+        counts = np.array([30, 30, 26])
+        X = np.zeros((3, 30, 3))
+        for j, n in enumerate(counts):
+            X[j, :n] = rng.uniform(-2.0, 2.0, size=(n, 3))
+        y = np.where(np.arange(30) < np.tile(counts, 3)[:, None],
+                     rng.standard_normal((9, 30)) * 3.0, 0.0)
+        shared = FoldStack(X, y, np.tile(counts, 3))
+        copied = FoldStack(np.concatenate([X] * 3), y, np.tile(counts, 3))
+        ens = parse_ensemble("welsch,l1l2,huber")
+        W = rng.standard_normal((9, 3))
+        E = residuals(W, shared)
+        assert np.array_equal(E, residuals(W, copied))
+        S = np.stack(update_p(ens, E), axis=-1).sum(axis=-1)
+        assert np.array_equal(update_w(shared, S, 1e-8), update_w(copied, S, 1e-8))
+        assert np.array_equal(objective(ens, E, shared), objective(ens, E, copied))
+        for a, b in zip(fit_folds(shared, ens), fit_folds(copied, ens)):
+            assert np.array_equal(a.w, b.w) and np.array_equal(a.trace.risks, b.trace.risks)
+            assert np.array_equal(a.loss_weights, b.loss_weights)
+
     def test_nonfinite_fold_gets_nan_alone(self):
         parts, stack = self._stack(3, 5, 2, seed=1)
         stack.X[1, :, 0] = np.arange(5) * 1e300
