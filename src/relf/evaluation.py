@@ -34,7 +34,7 @@ from .data import (
     load_libsvm,
     synth_line,
 )
-from .exceptions import DataError, DegenerateTraceWarning, RelfError
+from .exceptions import DataError, DegenerateTraceWarning, NonFiniteObjectiveError, RelfError
 from .losses import DEFAULT_ENSEMBLE_TEXT, EnsembleSpec, parse_ensemble
 from .solver import SolverConfig, decrease_ratio, fit, fit_folds, gram_block_rows
 from . import linalg
@@ -112,15 +112,20 @@ def _least_squares(train: FoldStack, labels, ridge_alpha: float) -> np.ndarray:
     """:func:`ols_fit` for each of the L label stacks ``labels`` (L, k,
     rows) of ``train``'s folds, (L, k, d).  Each fold's Gram ``X^T X`` is
     formed once for all L; every level's system gets the bits of its lone
-    solve."""
+    solve; :class:`NonFiniteObjectiveError` if a Gram or ``X^T y``
+    overflows the float range."""
     labels = np.asarray(labels, dtype=float)
     A = np.empty((train.k, train.d, train.d))
     b = np.empty((len(labels), train.k, train.d, 1))
-    for folds, designs, count in train.runs:
-        X = train.X[designs, :count]
-        A[folds] = X.transpose(0, 2, 1) @ X
-        b[:, folds] = X.transpose(0, 2, 1) @ labels[:, folds, :count, None]
-    A = 0.5 * (A + A.transpose(0, 2, 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        for folds, designs, count in train.runs:
+            X = train.X[designs, :count]
+            A[folds] = X.transpose(0, 2, 1) @ X
+            b[:, folds] = X.transpose(0, 2, 1) @ labels[:, folds, :count, None]
+        A = 0.5 * (A + A.transpose(0, 2, 1))
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise NonFiniteObjectiveError(
+            "least-squares normal equations overflow the float range")
     A = np.broadcast_to(A, (len(labels),) + A.shape).reshape(-1, train.d, train.d)
     w = linalg.solve_spd_with_jitter(A, b.reshape(-1, train.d), ridge_alpha)
     return w.reshape(b.shape[:3])

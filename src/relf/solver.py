@@ -209,10 +209,12 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
 
     All folds iterate in lockstep on the stacked arrays.  A fold stops once
     its risk decrease falls below ``rel_tol`` (relative, floored at 1) or at
-    ``max_iters``, and is then frozen with its own iteration count.  The
-    trace records the risk after every w-step; the risk plus
-    ``(alpha/2) |w|^2`` is non-increasing (see the module docstring).
-    Ensemble weights come from the fold's final P.
+    ``max_iters``, and is then frozen with its own iteration count: it holds
+    its ``w`` and the residual its final P came from, so every later P-step
+    gives that fold the same P.  The ensemble weights are read once, after
+    the loop, off the last P of every fold.  The trace records the risk
+    after every w-step; the risk plus ``(alpha/2) |w|^2`` is non-increasing
+    (see the module docstring).
 
     The w-step's ``s`` adds P's columns left to right, which gives the bits
     of ``P.sum(axis=-1)`` for up to 7 losses (numpy sums fewer than 8 terms
@@ -248,21 +250,9 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
 
     risks, steps = [], []  # one (k,) row per iteration
     iterations = np.zeros(stack.k, dtype=int)
+    failed = np.zeros(stack.k, dtype=int)  # iteration a fold went non-finite at, or 0
     converged = np.zeros(stack.k, dtype=bool)
     active = np.ones(stack.k, dtype=bool)
-    weight_sums = {}  # fold -> (total, per-loss sums) of its final P
-    errors = {}
-
-    def freeze(cols, folds):  # keep what the models need of the final P
-        if not len(folds):
-            return
-        # one reduction per slice of adjacent folds of one row count
-        cuts = np.flatnonzero((np.diff(folds) != 1) | (np.diff(stack.counts[folds]) != 0)) + 1
-        for part in np.split(folds, cuts):
-            a, b, count = part[0], part[-1] + 1, stack.counts[part[0]]
-            P = np.stack([c[a:b, :count] for c in cols], axis=-1)
-            for j, total, loss_sums in zip(part, P.sum(axis=(1, 2)), P.sum(axis=1)):
-                weight_sums[j] = (float(total), loss_sums)
 
     # a residual whose square overflows has the overflow's limit as its
     # answer (phi = inf, delta = 0), an infinite weight times 0 a NaN ``w``
@@ -275,9 +265,7 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
             e_next = residuals(w_next, stack)
             risk = objective(ensemble, e_next, stack)
             finite = np.isfinite(risk) & np.all(np.isfinite(w_next), axis=1)
-            for j in np.flatnonzero(active & ~finite):
-                errors[j] = NonFiniteObjectiveError(
-                    f"objective became non-finite at iteration {it}")
+            failed[active & ~finite] = it
             live = active & finite
             # frozen folds record NaN, which no later comparison can warn on
             risks.append(np.where(live, risk, np.nan))
@@ -287,23 +275,28 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
                 converged |= live & (np.abs(prev - risks[-1])
                                      <= config.rel_tol * np.maximum(1.0, prev))
             iterations[live] = it
-            # frozen folds keep their iterate; the new arrays are taken
-            # over, so no second residual array outlives the iteration
-            w_next[~live], e_next[~live] = w[~live], e[~live]
-            w, e = w_next, e_next
-            freeze(cols, np.flatnonzero(live & converged))
             active = live & ~converged
+            # a frozen fold keeps its iterate and the residual its final P
+            # came from, so every later P-step gives that P again; the new
+            # arrays are taken over, so no second residual array outlives
+            # the iteration
+            w_next[~live], e_next[~active] = w[~live], e[~active]
+            w, e = w_next, e_next
             if not active.any():
                 break
-        freeze(cols, np.flatnonzero(active))
+        # lambda's column masses, read once off every fold's final P
+        totals, loss_sums = np.empty(stack.k), np.empty((stack.k, ensemble.m))
+        for folds, _, count in stack.runs:
+            P = np.stack([c[folds, :count] for c in cols], axis=-1)
+            totals[folds], loss_sums[folds] = P.sum(axis=(1, 2)), P.sum(axis=1)
     risks, steps = np.array(risks), np.array(steps)
 
     models = []
     for j in range(stack.k):
-        if j in errors:
-            raise errors[j]
-        total, loss_sums = weight_sums[j]
-        if not np.isfinite(total) or total <= 0.0:
+        if failed[j]:
+            raise NonFiniteObjectiveError(
+                f"objective became non-finite at iteration {failed[j]}")
+        if not np.isfinite(totals[j]) or totals[j] <= 0.0:
             raise NonFiniteObjectiveError(
                 "auxiliary weights sum to zero; every loss redescended on every "
                 "sample (check loss scales against the residual magnitude)")
@@ -313,7 +306,7 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
             iterations=int(iterations[j]),
             converged=bool(converged[j]),
         )
-        models.append(RelfModel(w=w[j].copy(), loss_weights=loss_sums / total,
+        models.append(RelfModel(w=w[j].copy(), loss_weights=loss_sums[j] / totals[j],
                                 ensemble=ensemble, config=config, trace=trace))
     return models
 

@@ -427,6 +427,28 @@ class TestBenchCommand:
         assert code == 3
         assert "FAILED" in out
 
+    @pytest.mark.parametrize("scale, x, y", [
+        pytest.param(True, 1.0, 1e307, id="labels-overflow-xty"),
+        pytest.param(False, 1e160, 1.0, id="features-overflow-xtx"),
+    ])
+    def test_bench_least_squares_gram_overflow(self, tmp_path, capsys, scale, x, y):
+        # the ols cell fails with the solver's error, as the relf cell does,
+        # and no numpy warning gets out
+        (tmp_path / "a.csv").write_text("x,y\n" + "".join(
+            f"{x * (i % 7 - 3)!r},{y * (i % 5 - 2.5)!r}\n" for i in range(40)))
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"datasets": [_CSV_ENTRY], "methods": ["ols", "ridge:1e-2"],
+                                    "contamination_levels": [0.0], "scale_features": scale}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["bench", "--manifest", str(path), "--output-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == 3 and err == ""
+        failed = [line for line in out.splitlines() if "FAILED" in line]
+        assert len(failed) == 2
+        assert all(line.endswith("(NonFiniteObjectiveError: least-squares normal equations "
+                                 "overflow the float range)") for line in failed)
+
     @pytest.mark.parametrize("manifest, message", [
         ({"cv": 5}, "manifest 'cv' must be an object"),
         ({"cv": {"folds": "5"}}, "manifest cv 'folds' must be an integer"),

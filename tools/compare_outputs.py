@@ -86,6 +86,9 @@ ERROR_CASES = (
     # a dataset's failure is a failed cell: its error is in stdout and the report
     ("too-many-folds", 3, ["bench", "--manifest", "{in}/too-many-folds.json",
                            "--output-dir", "too-many-folds"]),
+    # labels of 1e307 to 2e307, whose X^T y overflows: the ols cell fails
+    ("ols-gram-overflow", 3, ["bench", "--manifest", "{in}/ols-gram-overflow.json",
+                              "--output-dir", "ols-gram-overflow"]),
     # a manifest that does not follow its schema stops before any cell
     *((name, 1, ["bench", "--manifest", f"{{in}}/{name}.json", "--output-dir", name])
       for name in ("unknown-cv-key", "mistyped-entry", "csv-without-label-column")),
@@ -154,6 +157,12 @@ def make_inputs(root: Path, csv_rows: int) -> None:
                 "datasets": [{"name": "a", "format": "csv", "path": "bench-a.csv",
                               "label_column": "y"}]}
     (root / "too-many-folds.json").write_text(json.dumps(too_many) + "\n")
+    X, y = _linear_rows(rng, 40, 2, 0.0)
+    _write_csv(root / "overflow-labels.csv", X, 1e307 * (1.0 + (y - y.min()) / np.ptp(y)))
+    overflow = {"methods": ["ols"], "contamination_levels": [0.0],
+                "datasets": [{"name": "a", "format": "csv", "path": "overflow-labels.csv",
+                              "label_column": "y"}]}
+    (root / "ols-gram-overflow.json").write_text(json.dumps(overflow) + "\n")
     entry = too_many["datasets"][0]
     for name, bad in (("unknown-cv-key", {"cv": {"fold": 3}}),
                       ("mistyped-entry", {"datasets": [{**entry, "has_header": "no"}]}),
