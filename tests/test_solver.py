@@ -310,14 +310,40 @@ class TestStackedSteps:
         with pytest.raises(NonFiniteObjectiveError, match="at iteration 1$"):
             fit_folds(stack, parse_ensemble("l1l2"))
 
+    @pytest.mark.parametrize("config", [
+        SolverConfig(), SolverConfig(max_iters=8), SolverConfig(rel_tol=0.0, max_iters=6)])
+    def test_frozen_folds_keep_their_own_weights(self, config):
+        # folds freeze alone or as slices of adjacent folds of one row count,
+        # some padded: at two or more iterations (at max_iters 8, four are
+        # still live when the loop ends), or all at the end (rel_tol 0); each
+        # keeps the ensemble weights of its own final P
+        rng = np.random.default_rng(5)
+        counts = np.array([40, 40, 40, 33, 33, 40, 25])
+        parts = []
+        for j, n in enumerate(counts):
+            ds = _random_ds(int(n), 2, 100 + j, outliers=j % 2 == 0)
+            parts.append(Dataset(X=ds.X * rng.uniform(0.1, 10.0), y=ds.y))
+        if config.rel_tol:
+            parts[1], parts[4] = parts[0], parts[3]  # two pairs that converge together
+        X, y = np.zeros((len(counts), 40, 2)), np.zeros((len(counts), 40))
+        for j, part in enumerate(parts):
+            X[j, :part.n], y[j, :part.n] = part.X, part.y
+        ens = parse_ensemble("welsch:2,l1l2,fair")
+        models = fit_folds(FoldStack(X, y, counts), ens, config)
+        assert len({m.trace.iterations for m in models}) >= (2 if config.rel_tol else 1)
+        for model, part in zip(models, parts):
+            w, _, loss_weights = two_matvec_fit(part, ens, config)
+            assert np.array_equal(model.loss_weights, loss_weights)
+            assert np.array_equal(model.w, w)
+
     @given(counts=st.lists(st.integers(5, 30), min_size=2, max_size=6),
            pad=st.integers(0, 3), levels=st.integers(1, 2),
            losses=st.lists(st.sampled_from(_SPEC_POOL), min_size=1, max_size=4, unique=True),
            max_iters=st.integers(2, 25), rel_tol=st.sampled_from([0.0, 1e-9, 1e-7, 1e-5, 1e-3]),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_frozen_folds_keep_their_own_weights(self, counts, pad, levels, losses,
-                                                 max_iters, rel_tol, seed):
+    def test_frozen_folds_match_lone_fits(self, counts, pad, levels, losses,
+                                          max_iters, rel_tol, seed):
         # folds converge at their own iterations, or run to max_iters, padded
         # or not, over designs shared by the levels (some designs repeated);
         # a fold may repeat its labels at the next level, so that two folds
@@ -451,6 +477,23 @@ class TestFit:
             model = fit(ds, parse_ensemble("welsch,huber:0.5,l1l2"), config)
             r = model.trace.risks
             assert np.all(np.diff(r) <= 1e-10 * np.maximum(1.0, np.abs(r[:-1])))
+
+    def test_sample_permutation_invariance(self):
+        ds = _random_ds(60, 4, 12, outliers=True)
+        perm = np.random.default_rng(0).permutation(ds.n)
+        shuffled = ds.take(perm)
+        a = fit(ds, parse_ensemble("welsch,l1l2,huber"))
+        b = fit(shuffled, parse_ensemble("welsch,l1l2,huber"))
+        assert np.max(np.abs(a.w - b.w)) <= 1e-10
+        assert np.max(np.abs(a.loss_weights - b.loss_weights)) <= 1e-10
+
+    def test_loss_permutation_invariance(self):
+        ds = _random_ds(60, 4, 13, outliers=True)
+        a = fit(ds, parse_ensemble("welsch,l1l2,huber"))
+        b = fit(ds, parse_ensemble("huber,welsch,l1l2"))
+        assert np.max(np.abs(a.w - b.w)) <= 1e-10
+        # lambda follows its loss
+        assert np.max(np.abs(a.loss_weights[[2, 0, 1]] - b.loss_weights)) <= 1e-10
 
     @given(n_per_column=st.integers(5, 30), d=st.integers(1, 6),
            log_scales=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
