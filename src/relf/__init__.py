@@ -28,8 +28,6 @@ from .losses import (
     delta,
     parse_ensemble,
     phi,
-    validate_ensemble,
-    validate_loss,
 )
 from .linalg import solve_spd_with_jitter
 from .data import (

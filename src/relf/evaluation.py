@@ -152,10 +152,14 @@ class RelfMethod:
 
 @dataclass(frozen=True)
 class LeastSquaresMethod:
-    """OLS / ridge baseline."""
+    """OLS / ridge baseline; ``ridge_alpha`` must be finite and >= 0."""
 
     ridge_alpha: float = 1e-8
     label: str = "ols"
+
+    def __post_init__(self):
+        if not np.isfinite(self.ridge_alpha) or self.ridge_alpha < 0:
+            raise DataError(f"ridge_alpha must be >= 0, got {self.ridge_alpha!r}")
 
     def fold_weights(self, train: FoldStack, labels) -> np.ndarray:
         """One ``w`` per fold of ``train`` and label stack of ``labels``

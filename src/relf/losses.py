@@ -67,12 +67,27 @@ class LossSpec:
     """One catalog loss: a ``kind`` plus its positive ``scale``.
 
     The scale is sigma for welsch, epsilon for huber and c for fair; it is
-    ignored for the fixed-shape kinds (l1l2, logcosh).  Construction does
-    not validate -- call :func:`validate_ensemble` (the solver does).
+    ignored for the fixed-shape kinds (l1l2, logcosh).
+
+    Raises :class:`EnsembleError` if ``kind`` is not one of ``KINDS``, if
+    ``scale`` is not a finite positive real, or if a welsch ``scale`` is
+    not above :data:`WELSCH_MIN_SCALE`.
     """
 
     kind: str
     scale: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise EnsembleError(
+                f"unknown loss kind {self.kind!r}; expected one of {', '.join(KINDS)}")
+        scale = float(self.scale)
+        if not np.isfinite(scale) or scale <= 0.0:
+            raise EnsembleError(
+                f"loss {self.kind!r} needs a finite positive scale, got {self.scale!r}")
+        if self.kind == WELSCH and not scale > WELSCH_MIN_SCALE:
+            raise EnsembleError(f"loss 'welsch' needs a scale above {WELSCH_MIN_SCALE!r}, "
+                                f"where its weight 2/s^2 is finite, got {self.scale!r}")
 
     def uses_scale(self) -> bool:
         return self.kind in SCALED_KINDS
@@ -91,12 +106,27 @@ class LossSpec:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Ordered collection of at least one :class:`LossSpec`."""
+    """Ordered collection of at least one :class:`LossSpec`, no two of
+    them the same function.
+
+    Duplicates are judged on the effective function: two ``l1l2`` entries
+    collide regardless of their (ignored) scales, while ``huber:0.5`` and
+    ``huber:1.0`` are distinct.  Raises :class:`EnsembleError`, naming the
+    first problem found.
+    """
 
     losses: tuple[LossSpec, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "losses", tuple(self.losses))
+        if self.m == 0:
+            raise EnsembleError("ensemble must contain at least one loss")
+        seen = set()
+        for spec in self.losses:
+            key = spec.effective_key()
+            if key in seen:
+                raise EnsembleError(f"duplicate loss {spec.label()!r} in ensemble")
+            seen.add(key)
 
     @property
     def m(self) -> int:
@@ -106,53 +136,13 @@ class EnsembleSpec:
         return tuple(spec.label() for spec in self.losses)
 
 
-def validate_loss(spec: LossSpec) -> None:
-    """Check a single loss against the catalog invariants.
-
-    Raises :class:`EnsembleError` if ``kind`` is not one of ``KINDS``, if
-    ``scale`` is not a finite positive real, or if a welsch ``scale`` is
-    not above :data:`WELSCH_MIN_SCALE`.
-    """
-    if spec.kind not in KINDS:
-        raise EnsembleError(f"unknown loss kind {spec.kind!r}; expected one of {', '.join(KINDS)}")
-    scale = float(spec.scale)
-    if not np.isfinite(scale) or scale <= 0.0:
-        raise EnsembleError(
-            f"loss {spec.kind!r} needs a finite positive scale, got {spec.scale!r}")
-    if spec.kind == WELSCH and not scale > WELSCH_MIN_SCALE:
-        raise EnsembleError(f"loss 'welsch' needs a scale above {WELSCH_MIN_SCALE!r}, "
-                            f"where its weight 2/s^2 is finite, got {spec.scale!r}")
-
-
-def validate_ensemble(ensemble: EnsembleSpec) -> None:
-    """Check an ensemble: non-empty, valid members, no duplicate losses.
-
-    Duplicates are judged on the effective function: two ``l1l2`` entries
-    collide regardless of their (ignored) scales, while ``huber:0.5`` and
-    ``huber:1.0`` are distinct.
-
-    Raises :class:`EnsembleError`, naming the first problem found.
-    """
-    if not isinstance(ensemble, EnsembleSpec):
-        raise EnsembleError(f"expected EnsembleSpec, got {type(ensemble).__name__}")
-    if ensemble.m == 0:
-        raise EnsembleError("ensemble must contain at least one loss")
-    seen = set()
-    for spec in ensemble.losses:
-        validate_loss(spec)
-        key = spec.effective_key()
-        if key in seen:
-            raise EnsembleError(f"duplicate loss {spec.label()!r} in ensemble")
-        seen.add(key)
-
-
 def phi(spec: LossSpec, e):
     """Loss value ``phi(e)``, elementwise over ``e``.
 
     Parameters
     ----------
     spec : LossSpec
-        Assumed valid (see :func:`validate_loss`).
+        A catalog loss (see :class:`LossSpec`).
     e : float or ndarray
         Residuals; any shape.
 
@@ -191,13 +181,11 @@ def phi(spec: LossSpec, e):
         gap = np.subtract(r, np.log1p(r), out=np.full_like(r, np.inf),
                           where=~np.isinf(r))
         out = (s * s) * gap
-    elif kind == LOGCOSH:
+    else:  # logcosh
         # log(cosh(e)) = logaddexp(e, -e) - log 2, stable for large |e|
         out = np.negative(arr)
         np.logaddexp(arr, out, out=out)
         out -= np.log(2.0)
-    else:
-        raise EnsembleError(f"unknown loss kind {kind!r}")
     return out.item() if np.ndim(e) == 0 else out
 
 
@@ -233,12 +221,10 @@ def delta(spec: LossSpec, e):
         out /= s
         out += 1.0
         np.divide(1.0, out, out=out)
-    elif kind == LOGCOSH:
+    else:  # logcosh
         zero = arr == 0.0
         safe = np.where(zero, 1.0, arr)
         out = np.where(zero, 1.0, np.tanh(safe) / safe)
-    else:
-        raise EnsembleError(f"unknown loss kind {kind!r}")
     return out.item() if np.ndim(e) == 0 else out
 
 
@@ -246,8 +232,8 @@ def parse_ensemble(text: str) -> EnsembleSpec:
     """Parse the CLI grammar ``kind[:scale](,kind[:scale])*``.
 
     Example: ``"welsch:1.5,l1l2,huber:0.5"``.  Kind tokens are
-    case-insensitive; omitted scales default to 1.  The result is
-    validated before returning.
+    case-insensitive; omitted scales default to 1.  Each token's own error
+    is raised in token order, before any duplicate.
     """
     if text is None or text.strip() == "":
         raise EnsembleError("empty ensemble specification")
@@ -267,9 +253,7 @@ def parse_ensemble(text: str) -> EnsembleSpec:
         else:
             scale = 1.0
         specs.append(LossSpec(kind=kind, scale=scale))
-    ensemble = EnsembleSpec(losses=tuple(specs))
-    validate_ensemble(ensemble)
-    return ensemble
+    return EnsembleSpec(losses=tuple(specs))
 
 
 def _fmt_scale(scale: float) -> str:

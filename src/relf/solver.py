@@ -39,10 +39,11 @@ from .data import Dataset, FoldStack, Preprocessing, json_dataclass, load_json
 from .exceptions import (
     DegenerateTraceWarning,
     DimensionMismatchError,
+    EnsembleError,
     NonFiniteObjectiveError,
     RelfError,
 )
-from .losses import EnsembleSpec, LossSpec, delta, phi, validate_ensemble
+from .losses import EnsembleSpec, LossSpec, delta, phi
 
 INIT_ZEROS = "zeros"
 INIT_GAUSSIAN = "gaussian"
@@ -56,7 +57,10 @@ class SolverConfig:
 
     alpha : jitter added to the normal equations (floored at 1e-12).
     max_iters : hard cap on alternating iterations.
-    rel_tol : stop once ``|R_prev - R| <= rel_tol * max(1, R_prev)``.
+    rel_tol : stop once ``|R_prev - R| <= rel_tol * max(1, R_prev)``.  With
+        0 a fit stops once its risk repeats to the bit, which can happen
+        while ``w`` still moves by about 1e-8 relative: no setting runs a
+        fixed count of iterations.
     init : ``"zeros"`` (deterministic default) or ``"gaussian"``
         (isotropic N(0, init_std^2), seeded by ``init_seed`` >= 0).
 
@@ -240,7 +244,8 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
         fold's :class:`NonFiniteObjectiveError`, earlier folds' included.
     """
     config = config or SolverConfig()
-    validate_ensemble(ensemble)
+    if not isinstance(ensemble, EnsembleSpec):
+        raise EnsembleError(f"expected EnsembleSpec, got {type(ensemble).__name__}")
 
     if config.init == INIT_GAUSSIAN:
         rng = np.random.default_rng(config.init_seed)
@@ -378,7 +383,6 @@ class _ModelFile(RelfModel):
             raise RelfError(f"unsupported model schema {self.schema!r}")
         self.ensemble = EnsembleSpec([json_dataclass(LossSpec, loss, "model loss")
                                       for loss in self.ensemble])
-        validate_ensemble(self.ensemble)
         lam = self.loss_weights
         if lam.shape != (self.ensemble.m,):
             raise RelfError(f"model has {lam.shape[0]} loss weights "

@@ -514,6 +514,11 @@ class TestBenchCommand:
         ({"solver": {"init": "gaussian", "init_seed": -1}, "datasets": [_LINE_ENTRY],
           "methods": ["relf"]}, "error: init_seed must be >= 0, got -1\n"),
         ({"cv": {"folds": 1}}, "error: manifest cv folds must be >= 2, got 1\n"),
+        # a method the grammar reads but LeastSquaresMethod refuses
+        ({"datasets": [_LINE_ENTRY], "methods": ["ols", "ridge:-1"]},
+         "error: ridge_alpha must be >= 0, got -1.0\n"),
+        ({"datasets": [_LINE_ENTRY], "methods": ["ridge:inf"]},
+         "error: ridge_alpha must be >= 0, got inf\n"),
         # a key of another format than the entry's own
         ({"datasets": [{**_CSV_ENTRY, "noise_mode": "outlier", "outlier_fraction": 0.5}]},
          "error: manifest dataset 'a' of format 'csv' takes no key 'noise_mode'\n"),
@@ -660,6 +665,51 @@ def test_model_fuzz(tmp_path, capsys):
         else:
             assert err == "", (payload, err)
         outcomes.add(code)
+    assert outcomes == {0, 1}
+
+
+# the values each flag of fit, predict and toy takes in turn: edge
+# magnitudes, non-numbers and the empty string
+_FLAG_VALUES = ("-1", "0", "1e308", str(10**30), "nan", "inf", "-inf", "x", "")
+
+
+def _flag_mutations(base):
+    """``base`` with one ``--flag VALUE`` pair's value replaced, for every
+    such pair and every value of :data:`_FLAG_VALUES`."""
+    for i, arg in enumerate(base):
+        if arg.startswith("--") and i + 1 < len(base) and not base[i + 1].startswith("--"):
+            for value in _FLAG_VALUES:
+                # "--flag=VALUE", so that argparse reads "-1" as a value
+                yield base[:i] + [f"{arg}={value}"] + base[i + 2:]
+
+
+def test_flag_fuzz(tmp_path, capsys, monkeypatch):
+    # no flag value ends in a traceback or a warning, only in an exit status;
+    # one flag changes at a time, so a huge --max-iters keeps the default
+    # rel_tol and stops once its fit converges
+    monkeypatch.chdir(tmp_path)  # "--output=x" writes the file x
+    data = str(_write_toy_csv(tmp_path / "toy.csv", NoiseConfig(mode="outlier", seed=1)))
+    assert main(["fit", "--data", data, "--label-column", "y", "--output", "model.json"]) == 0
+    solver = ["--alpha", "1e-8", "--max-iters", "30", "--rel-tol", "1e-8",
+              "--init-seed", "0", "--init-std", "1.0"]
+    bases = [
+        ["fit", "--data", data, "--label-column", "y", "--scale", "--init", "gaussian",
+         "--output", "out.json", *solver],
+        ["predict", "--model", "model.json", "--data", data, "--label-column", "1"],
+        ["toy", "--seed", "0", "--gaussian-std", "1.0", *solver],
+        ["toy", "--noise", "outlier", "--seed", "0", "--outlier-fraction", "0.1",
+         "--outlier-magnitude", "5.0", "--ensemble", "welsch,huber:0.5", *solver],
+    ]
+    outcomes = set()
+    for base in bases:
+        for argv in [base, *_flag_mutations(base)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+            err = capsys.readouterr().err
+            assert code in ((0,) if argv is base else (0, 1, 2, 3)), (argv, code, err)
+            assert "Traceback" not in err and "Warning" not in err, (argv, err)
+            outcomes.add(code)
     assert outcomes == {0, 1}
 
 

@@ -91,5 +91,6 @@ def test_this_checkout_against_itself(tmp_path, tool):
 def test_manifest_error_cases_exit_1(tool):
     # a manifest schema error stops the run: exit 1, not a failed cell
     codes = {name: code for name, code, _ in tool.ERROR_CASES}
-    for name in ("unknown-cv-key", "mistyped-entry", "csv-without-label-column"):
+    for name in ("unknown-cv-key", "mistyped-entry", "csv-without-label-column",
+                 "negative-ridge"):
         assert codes[name] == 1, name

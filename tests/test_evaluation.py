@@ -226,6 +226,11 @@ class TestParseMethod:
             parse_method("irls:welsch,l1l2")
         with pytest.raises(DataError):
             parse_method("ols:1")
+        # ridge:-1 ran as ols, ridge:nan and ridge:inf failed their cells
+        for alpha in ("-1", "nan", "inf", "-inf"):
+            with pytest.raises(DataError, match=f"^ridge_alpha must be >= 0, got {float(alpha)!r}$"):
+                parse_method(f"ridge:{alpha}")
+        assert parse_method("ridge:0").ridge_alpha == 0.0
 
 
 def _cv(folds, method, contamination=None, seed_keys=()):

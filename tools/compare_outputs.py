@@ -82,6 +82,8 @@ ERROR_CASES = (
     ("unknown-loss", 1, ["toy", "--ensemble", "welsch,cauchy"]),
     ("duplicate-loss", 1, ["toy", "--ensemble", "l1l2,huber,l1l2"]),
     ("zero-scale-loss", 1, ["toy", "--ensemble", "huber:0"]),
+    # each token's own error comes before a duplicate
+    ("ensemble-order", 1, ["toy", "--ensemble", "huber,huber,tukey"]),
     ("outlier-fraction-1.5", 1, ["toy", "--noise", "outlier", "--outlier-fraction", "1.5"]),
     # a dataset's failure is a failed cell: its error is in stdout and the report
     ("too-many-folds", 3, ["bench", "--manifest", "{in}/too-many-folds.json",
@@ -92,10 +94,14 @@ ERROR_CASES = (
     # a manifest that does not follow its schema stops before any cell
     *((name, 1, ["bench", "--manifest", f"{{in}}/{name}.json", "--output-dir", name])
       for name in ("unknown-cv-key", "mistyped-entry", "csv-without-label-column")),
+    # as does a method whose value is refused
+    ("negative-ridge", 1, ["bench", "--manifest", "{in}/negative-ridge.json",
+                           "--output-dir", "negative-ridge"]),
     # so does a model file that relf fit could not have written
     *((name, 1, ["predict", "--model", f"{{in}}/{name}.json", "--data", "{in}/test.csv",
                  "--label-column", "y"])
-      for name in ("model-missing-key", "model-unknown-key", "model-off-simplex-weights")),
+      for name in ("model-missing-key", "model-unknown-key", "model-off-simplex-weights",
+                   "model-unknown-loss", "model-duplicate-loss")),
 )
 
 
@@ -169,6 +175,8 @@ def make_inputs(root: Path, csv_rows: int) -> None:
                       ("csv-without-label-column",
                        {"datasets": [{k: v for k, v in entry.items() if k != "label_column"}]})):
         (root / f"{name}.json").write_text(json.dumps({**too_many, "cv": {}, **bad}) + "\n")
+    (root / "negative-ridge.json").write_text(
+        json.dumps({**too_many, "cv": {}, "methods": ["ridge:-1"]}) + "\n")
     # a model of the CSV pair's six features and an intercept, each file
     # with one flaw
     model = {"schema": "relf.model/1", "w": [0.5] * 7, "loss_weights": [0.25, 0.75],
@@ -180,7 +188,11 @@ def make_inputs(root: Path, csv_rows: int) -> None:
              "preprocessing": {"intercept": True, "scaler": None}}
     for name, bad in (("model-missing-key", {k: v for k, v in model.items() if k != "config"}),
                       ("model-unknown-key", {**model, "weights": [1.0]}),
-                      ("model-off-simplex-weights", {**model, "loss_weights": [0.5, 0.75]})):
+                      ("model-off-simplex-weights", {**model, "loss_weights": [0.5, 0.75]}),
+                      ("model-unknown-loss", {**model, "ensemble": [
+                          {"kind": "welsch", "scale": 1.5}, {"kind": "l2", "scale": 1.0}]}),
+                      ("model-duplicate-loss", {**model, "ensemble": [
+                          {"kind": "l1l2", "scale": 1.0}, {"kind": "l1l2", "scale": 2.0}]})):
         (root / f"{name}.json").write_text(json.dumps(bad, indent=2) + "\n")
 
 
