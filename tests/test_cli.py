@@ -514,11 +514,6 @@ class TestBenchCommand:
         ({"solver": {"init": "gaussian", "init_seed": -1}, "datasets": [_LINE_ENTRY],
           "methods": ["relf"]}, "error: init_seed must be >= 0, got -1\n"),
         ({"cv": {"folds": 1}}, "error: manifest cv folds must be >= 2, got 1\n"),
-        # a method the grammar reads but LeastSquaresMethod refuses
-        ({"datasets": [_LINE_ENTRY], "methods": ["ols", "ridge:-1"]},
-         "error: ridge_alpha must be >= 0, got -1.0\n"),
-        ({"datasets": [_LINE_ENTRY], "methods": ["ridge:inf"]},
-         "error: ridge_alpha must be >= 0, got inf\n"),
         # a key of another format than the entry's own
         ({"datasets": [{**_CSV_ENTRY, "noise_mode": "outlier", "outlier_fraction": 0.5}]},
          "error: manifest dataset 'a' of format 'csv' takes no key 'noise_mode'\n"),
@@ -532,6 +527,11 @@ class TestBenchCommand:
          "error: manifest dataset 'line' of format 'synthetic' takes no key 'path'\n"),
         ({"datasets": [{**_LINE_ENTRY, "label_column": "y"}]},
          "error: manifest dataset 'line' of format 'synthetic' takes no key 'label_column'\n"),
+        # a method the grammar reads but LeastSquaresMethod refuses
+        ({"datasets": [_LINE_ENTRY], "methods": ["ols", "ridge:-1"]},
+         "error: ridge_alpha must be >= 0, got -1.0\n"),
+        ({"datasets": [_LINE_ENTRY], "methods": ["ridge:inf"]},
+         "error: ridge_alpha must be >= 0, got inf\n"),
     ])
     def test_bench_malformed_manifest(self, tmp_path, capsys, manifest, message):
         path = tmp_path / "manifest.json"
