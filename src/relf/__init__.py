@@ -11,7 +11,6 @@ for the benchmark protocol.
 from .exceptions import (
     DataError,
     DataIOError,
-    DegenerateTraceWarning,
     DimensionMismatchError,
     EnsembleError,
     FactorizationError,

@@ -167,14 +167,9 @@ def cmd_predict(args) -> int:
 def cmd_toy(args) -> int:
     config = _solver_config(args)
     ensemble = parse_ensemble(args.ensemble)
-    if args.noise == NOISE_GAUSSIAN:
-        noise = NoiseConfig(mode=NOISE_GAUSSIAN, gaussian_std=args.gaussian_std,
-                            seed=args.seed)
-    else:
-        noise = NoiseConfig(mode=NOISE_OUTLIER,
-                            outlier_fraction=args.outlier_fraction,
-                            outlier_magnitude=args.outlier_magnitude,
-                            seed=args.seed)
+    noise = NoiseConfig(mode=args.noise, gaussian_std=args.gaussian_std,
+                        outlier_fraction=args.outlier_fraction,
+                        outlier_magnitude=args.outlier_magnitude, seed=args.seed)
     _echo_config("toy", {
         "noise": args.noise, "seed": args.seed,
         "gaussian_std": args.gaussian_std,

@@ -34,7 +34,7 @@ from .data import (
     load_libsvm,
     synth_line,
 )
-from .exceptions import DataError, DegenerateTraceWarning, NonFiniteObjectiveError, RelfError
+from .exceptions import DataError, NonFiniteObjectiveError, RelfError
 from .losses import DEFAULT_ENSEMBLE_TEXT, EnsembleSpec, parse_ensemble
 from .solver import SolverConfig, decrease_ratio, fit, fit_folds, gram_block_rows
 from . import linalg
@@ -104,31 +104,10 @@ def ols_fit(stack: FoldStack, ridge_alpha: float = 0.0) -> np.ndarray:
 
     ``ridge_alpha`` is passed straight to the jittered SPD solve, so 0
     still gets the 1e-12 stability floor; large values shrink ``w`` to 0.
+    :class:`DataError` if it is not finite and >= 0, as for
+    :class:`LeastSquaresMethod`.
     """
-    return _least_squares(stack, stack.y[None], ridge_alpha)[0]
-
-
-def _least_squares(train: FoldStack, labels, ridge_alpha: float) -> np.ndarray:
-    """:func:`ols_fit` for each of the L label stacks ``labels`` (L, k,
-    rows) of ``train``'s folds, (L, k, d).  Each fold's Gram ``X^T X`` is
-    formed once for all L; every level's system gets the bits of its lone
-    solve; :class:`NonFiniteObjectiveError` if a Gram or ``X^T y``
-    overflows the float range."""
-    labels = np.asarray(labels, dtype=float)
-    A = np.empty((train.k, train.d, train.d))
-    b = np.empty((len(labels), train.k, train.d, 1))
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        for folds, designs, count in train.runs:
-            X = train.X[designs, :count]
-            A[folds] = X.transpose(0, 2, 1) @ X
-            b[:, folds] = X.transpose(0, 2, 1) @ labels[:, folds, :count, None]
-        A = 0.5 * (A + A.transpose(0, 2, 1))
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-        raise NonFiniteObjectiveError(
-            "least-squares normal equations overflow the float range")
-    A = np.broadcast_to(A, (len(labels),) + A.shape).reshape(-1, train.d, train.d)
-    w = linalg.solve_spd_with_jitter(A, b.reshape(-1, train.d), ridge_alpha)
-    return w.reshape(b.shape[:3])
+    return LeastSquaresMethod(ridge_alpha).fold_weights(stack, stack.y[None])[0]
 
 
 @dataclass(frozen=True)
@@ -163,8 +142,25 @@ class LeastSquaresMethod:
 
     def fold_weights(self, train: FoldStack, labels) -> np.ndarray:
         """One ``w`` per fold of ``train`` and label stack of ``labels``
-        (L, k, rows), (L, k, d), from one Gram per fold."""
-        return _least_squares(train, labels, self.ridge_alpha)
+        (L, k, rows), (L, k, d).  Each fold's Gram ``X^T X`` is formed once
+        for all L; every level's system gets the bits of its lone solve;
+        :class:`NonFiniteObjectiveError` if a Gram or ``X^T y`` overflows
+        the float range."""
+        labels = np.asarray(labels, dtype=float)
+        A = np.empty((train.k, train.d, train.d))
+        b = np.empty((len(labels), train.k, train.d, 1))
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            for folds, designs, count in train.runs:
+                X = train.X[designs, :count]
+                A[folds] = X.transpose(0, 2, 1) @ X
+                b[:, folds] = X.transpose(0, 2, 1) @ labels[:, folds, :count, None]
+            A = 0.5 * (A + A.transpose(0, 2, 1))
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise NonFiniteObjectiveError(
+                "least-squares normal equations overflow the float range")
+        A = np.broadcast_to(A, (len(labels),) + A.shape).reshape(-1, train.d, train.d)
+        w = linalg.solve_spd_with_jitter(A, b.reshape(-1, train.d), self.ridge_alpha)
+        return w.reshape(b.shape[:3])
 
 
 def parse_method(text: str, solver_config: SolverConfig | None = None):
@@ -586,7 +582,6 @@ def _cv_cells(folds: CvFolds, method, labels) -> list[dict]:
 
 def _convergence_report(ds: Dataset, method: RelfMethod, name: str,
                         scale_features: bool, intercept: bool) -> dict:
-    import warnings
     report = {"dataset": name, "method": method.label}
     try:
         work = Preprocessing.fit(ds, scale_features, intercept).apply(ds)
@@ -594,15 +589,9 @@ def _convergence_report(ds: Dataset, method: RelfMethod, name: str,
         model = fit(work, method.ensemble, method.config)
         seconds = time.perf_counter() - t0
         trace = model.trace
-        try:
-            with warnings.catch_warnings():  # a flat trace's 1.0 is recorded as is
-                warnings.simplefilter("ignore", DegenerateTraceWarning)
-                ratio = decrease_ratio(trace)
-        except ValueError:
-            ratio = None
         report.update(
             final_risk=float(trace.risks[-1]), iterations=trace.iterations,
-            converged=trace.converged, decrease_ratio=ratio, seconds=seconds,
+            converged=trace.converged, decrease_ratio=decrease_ratio(trace), seconds=seconds,
             error=None)
     except Exception as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"

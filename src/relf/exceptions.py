@@ -59,7 +59,3 @@ class ParseError(DataError):
 
 class NonFiniteObjectiveError(RelfError, ArithmeticError):
     """Objective or iterate became NaN/Inf; data or config is pathological."""
-
-
-class DegenerateTraceWarning(UserWarning):
-    """Objective trace is flat; ratio statistics are reported by convention."""

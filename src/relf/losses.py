@@ -61,6 +61,15 @@ DEFAULT_ENSEMBLE_TEXT = "welsch,l1l2,huber"
 #: Welsch scales at or below this overflow the weight ``2 / s^2`` at 0.
 WELSCH_MIN_SCALE = math.sqrt(2.0 / sys.float_info.max)
 
+#: Welsch and fair scales above this overflow ``s^2``: welsch's weight
+#: ``2/s^2`` reads 0 and fair's ``phi(0) = s^2 * 0`` NaN.
+SQUARE_MAX_SCALE = math.sqrt(sys.float_info.max)
+
+#: Huber scales outside this closed range take the weight ``1/(2s)`` at 0
+#: out of the float range, to inf below it and to 0 above it.
+HUBER_SCALE_RANGE = (math.nextafter(0.5 / sys.float_info.max, math.inf),
+                     sys.float_info.max / 2.0)
+
 
 @dataclass(frozen=True)
 class LossSpec:
@@ -70,8 +79,11 @@ class LossSpec:
     ignored for the fixed-shape kinds (l1l2, logcosh).
 
     Raises :class:`EnsembleError` if ``kind`` is not one of ``KINDS``, if
-    ``scale`` is not a finite positive real, or if a welsch ``scale`` is
-    not above :data:`WELSCH_MIN_SCALE`.
+    ``scale`` is not a finite positive real, or if the kernels leave the
+    float range at ``e = 0``: a welsch ``scale`` not above
+    :data:`WELSCH_MIN_SCALE`, a welsch or fair ``scale`` above
+    :data:`SQUARE_MAX_SCALE`, or a huber ``scale`` outside
+    :data:`HUBER_SCALE_RANGE`.
     """
 
     kind: str
@@ -88,6 +100,13 @@ class LossSpec:
         if self.kind == WELSCH and not scale > WELSCH_MIN_SCALE:
             raise EnsembleError(f"loss 'welsch' needs a scale above {WELSCH_MIN_SCALE!r}, "
                                 f"where its weight 2/s^2 is finite, got {self.scale!r}")
+        if self.kind in (WELSCH, FAIR) and scale > SQUARE_MAX_SCALE:
+            raise EnsembleError(f"loss {self.kind!r} needs a scale of at most "
+                                f"{SQUARE_MAX_SCALE!r}, where s^2 is finite, got {self.scale!r}")
+        lo, hi = HUBER_SCALE_RANGE
+        if self.kind == HUBER and not lo <= scale <= hi:
+            raise EnsembleError(f"loss 'huber' needs a scale from {lo!r} to {hi!r}, where "
+                                f"its weight 1/(2s) is finite and positive, got {self.scale!r}")
 
     def uses_scale(self) -> bool:
         return self.kind in SCALED_KINDS

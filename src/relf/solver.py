@@ -29,7 +29,6 @@ large share.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -37,7 +36,6 @@ import numpy as np
 from . import linalg
 from .data import Dataset, FoldStack, Preprocessing, json_dataclass, load_json
 from .exceptions import (
-    DegenerateTraceWarning,
     DimensionMismatchError,
     EnsembleError,
     NonFiniteObjectiveError,
@@ -325,35 +323,20 @@ def predict(model: RelfModel, X) -> np.ndarray:
     return X @ model.w
 
 
-def decrease_ratio(trace: SolverTrace, early: int = 10, final: int = 30) -> float:
-    """Share of the total risk drop achieved by iteration ``early``.
+def decrease_ratio(trace: SolverTrace) -> float | None:
+    """Share of the total risk drop achieved by iteration 10:
+    ``(R(1) - R(10)) / (R(1) - R(30))`` with 1-based iteration indices.
 
-    ``(R(1) - R(early)) / (R(1) - R(final))`` with 1-based iteration
-    indices.  A trace that converged before ``final`` keeps its last risk
-    (the objective is constant past convergence); a non-converged trace
-    shorter than ``final`` raises.  A perfectly flat trace yields 1.0 by
-    convention, with a :class:`DegenerateTraceWarning`.
+    A trace that converged before iteration 30 keeps its last risk (the
+    objective is constant past convergence); a trace shorter than 30 that
+    did not converge gives None.  A flat trace gives 1.0.
     """
-    if early < 1 or final < early:
-        raise ValueError(f"need 1 <= early <= final, got {early}, {final}")
     risks = trace.risks
-
-    def risk_at(s: int) -> float:
-        if s <= len(risks):
-            return float(risks[s - 1])
-        if trace.converged:
-            return float(risks[-1])
-        raise ValueError(
-            f"trace has {len(risks)} iterations without converging; "
-            f"cannot read iteration {s}")
-
-    r1, r_early, r_final = risk_at(1), risk_at(early), risk_at(final)
-    span = r1 - r_final
-    if span == 0.0:
-        warnings.warn("flat objective trace; decrease ratio = 1 by convention",
-                      DegenerateTraceWarning, stacklevel=2)
-        return 1.0
-    return (r1 - r_early) / span
+    if len(risks) < 30 and not trace.converged:
+        return None
+    r1, r10, r30 = (float(risks[min(i, len(risks)) - 1]) for i in (1, 10, 30))
+    span = r1 - r30
+    return (r1 - r10) / span if span != 0.0 else 1.0
 
 
 # --- model (de)serialization ------------------------------------------------

@@ -191,6 +191,16 @@ class TestToyCommand:
         assert code == 1
         assert (out, err) == ("", "error: seed must be >= 0, got -1\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--noise", "outlier", "--gaussian-std", "-1"], "gaussian_std must be >= 0, got -1.0"),
+        (["--noise", "gaussian", "--outlier-fraction", "1.5"],
+         "outlier_fraction must lie in [0, 1], got 1.5"),
+    ], ids=["outlier-gaussian-std", "gaussian-outlier-fraction"])
+    def test_flag_of_the_other_noise_mode_is_checked(self, capsys, argv, message):
+        # every flag builds the noise config, not only the chosen mode's
+        code = main(["toy", *argv])
+        assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))
+
     def test_max_iters_far_past_convergence(self, capsys):
         # the trace grows one row per iteration, so a cap that is never
         # reached allocates nothing

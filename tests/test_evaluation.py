@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -164,6 +165,12 @@ class TestOls:
         w = ols_fit(FoldStack.of(ds), ridge_alpha=1e-12)[0]
         assert_allclose(w, ols_oracle(ds.X, ds.y), rtol=1e-9)
         assert_allclose(w[0], 35.0 / 14.0, rtol=1e-9)  # sum(xy)/sum(x^2)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -1.0])
+    def test_refuses_what_ridge_refuses(self, alpha):
+        stack = FoldStack.of(Dataset(X=[[1.0], [2.0]], y=[2.0, 4.0]))
+        with pytest.raises(DataError, match=re.escape(f"ridge_alpha must be >= 0, got {alpha!r}")):
+            ols_fit(stack, alpha)
 
 
 class TestIncreaseRatio:

@@ -18,8 +18,8 @@ from relf import (
     phi,
 )
 from relf.exceptions import DataError, EnsembleError
-from relf.losses import (CONVEX_KINDS, FAIR, HUBER, KINDS, SCALED_KINDS, WELSCH,
-                         WELSCH_MIN_SCALE)
+from relf.losses import (CONVEX_KINDS, FAIR, HUBER, HUBER_SCALE_RANGE, KINDS, SCALED_KINDS,
+                         SQUARE_MAX_SCALE, WELSCH, WELSCH_MIN_SCALE)
 
 from oracles import (central_diff, expression_delta, expression_phi, grid_argmin,
                      two_branch_huber_delta)
@@ -153,14 +153,17 @@ class TestHuberWeightBits:
     """``delta`` of huber, ``1/max(|e|, 2s)``, gives the two-branch weight's
     bits for every input."""
 
-    SCALES = (1e-300, 1e-8, 0.5, 1.0, 3.0, 1e8, 1e300, 1e308)
+    # the ends of the range where the weight at 0 is finite and positive
+    SCALES = (HUBER_SCALE_RANGE[0], 1e-300, 1e-8, 0.5, 1.0, 3.0, 1e8, 1e300,
+              HUBER_SCALE_RANGE[1])
 
     @pytest.mark.parametrize("scale", SCALES)
     def test_edges(self, scale):
         two_s = 2.0 * scale
-        e = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, two_s, -two_s,
-                      np.nextafter(two_s, 0.0), np.nextafter(two_s, np.inf),
-                      1e-320, 1e308, -1e308, np.finfo(float).max])
+        with np.errstate(over="ignore"):  # the float after the largest is inf
+            e = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, two_s, -two_s,
+                          np.nextafter(two_s, 0.0), np.nextafter(two_s, np.inf),
+                          1e-320, 1e308, -1e308, np.finfo(float).max])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = delta(LossSpec(HUBER, scale), e)
@@ -189,9 +192,12 @@ class TestInPlaceKernelBits:
 
     @staticmethod
     def _check(kind, scale, e):
-        if kind == WELSCH and scale <= WELSCH_MIN_SCALE:
-            # 2/s^2 overflows (or s^2 underflows to 0): no such spec is built
-            with pytest.raises(EnsembleError, match="^loss 'welsch' needs a scale above "):
+        lo, hi = HUBER_SCALE_RANGE
+        if (kind == WELSCH and scale <= WELSCH_MIN_SCALE
+                or kind in (WELSCH, FAIR) and scale > SQUARE_MAX_SCALE
+                or kind == HUBER and not lo <= scale <= hi):
+            # a kernel leaves the float range at 0: no such spec is built
+            with pytest.raises(EnsembleError, match=f"^loss '{kind}' needs a scale "):
                 LossSpec(kind, scale)
             return
         spec = LossSpec(kind, scale)
@@ -291,9 +297,31 @@ class TestValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert math.isfinite(delta(LossSpec("welsch", above), 0.0))
-        # the limit is welsch's own: huber and fair take any positive scale
-        for kind in ("huber", "fair"):
-            LossSpec(kind, 5e-324)
+        # the floor is welsch's own: fair takes any positive scale
+        LossSpec("fair", 5e-324)
+
+    def test_scale_limits_at_zero(self):
+        # each limit is the last scale whose kernels stay in the float range
+        # at e = 0; one step past it they leave it
+        big = math.nextafter(SQUARE_MAX_SCALE, math.inf)
+        assert math.isfinite(SQUARE_MAX_SCALE * SQUARE_MAX_SCALE) and math.isinf(big * big)
+        for kind in (WELSCH, FAIR):
+            LossSpec(kind, SQUARE_MAX_SCALE)
+            for scale in (big, 1e200):
+                with pytest.raises(EnsembleError, match="^" + re.escape(
+                        f"loss {kind!r} needs a scale of at most {SQUARE_MAX_SCALE!r}, "
+                        f"where s^2 is finite, got {scale!r}") + "$"):
+                    LossSpec(kind, scale)
+        lo, hi = HUBER_SCALE_RANGE
+        with np.errstate(over="ignore"):
+            assert np.isfinite(np.divide(1.0, 2.0 * lo)) and 2.0 * hi < math.inf
+        LossSpec(HUBER, lo)
+        LossSpec(HUBER, hi)
+        for scale in (5e-324, math.nextafter(lo, 0.0), math.nextafter(hi, math.inf), 1e308):
+            with pytest.raises(EnsembleError, match="^" + re.escape(
+                    f"loss 'huber' needs a scale from {lo!r} to {hi!r}, where its weight "
+                    f"1/(2s) is finite and positive, got {scale!r}") + "$"):
+                LossSpec(HUBER, scale)
 
     def test_same_kind_different_scale_is_fine(self):
         EnsembleSpec((LossSpec("huber", 0.5), LossSpec("huber", 1.0)))
@@ -317,39 +345,36 @@ _ONE_LOSS_MODEL = {"schema": "relf.model/1", "w": [0.5], "loss_weights": [1.0],
                    "trace": None, "preprocessing": {"intercept": False, "scaler": None}}
 
 _SPEC_ERRORS = re.compile(r"unknown loss kind |loss '[^']*' needs a finite positive scale, "
-                          r"|loss 'welsch' needs a scale above ")
+                          r"|loss 'welsch' needs a scale above "
+                          r"|loss '(welsch|fair)' needs a scale of at most "
+                          r"|loss 'huber' needs a scale from ")
 
 
 @given(kind=st.one_of(st.sampled_from(KINDS), st.text("abcdefghijklmnopqrstuvwxyz0123456789_",
                                                       max_size=8)),
        scale=st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf,
                                         -math.inf, math.nan, -1.0, 1e-154, 1e154, 1e308,
-                                        WELSCH_MIN_SCALE, math.nextafter(WELSCH_MIN_SCALE, 1.0))),
+                                        WELSCH_MIN_SCALE, math.nextafter(WELSCH_MIN_SCALE, 1.0),
+                                        SQUARE_MAX_SCALE,
+                                        math.nextafter(SQUARE_MAX_SCALE, math.inf),
+                                        *HUBER_SCALE_RANGE,
+                                        math.nextafter(HUBER_SCALE_RANGE[0], 0.0),
+                                        math.nextafter(HUBER_SCALE_RANGE[1], math.inf))),
                        st.floats(allow_nan=True, allow_infinity=True)))
 @settings(max_examples=400, deadline=None)
 def test_a_spec_that_exists_is_valid(tmp_path_factory, kind, scale):
-    """Either ``LossSpec`` refuses a draw with one of its three messages, or
-    the spec's kernels are defined at 0 without a warning.  The CLI grammar
-    and a model file's loss give the same answer."""
+    """Either ``LossSpec`` refuses a draw with one of its messages, or the
+    spec's kernels are defined at 0 without a warning (pytest turns every
+    warning into an error).  The CLI grammar and a model file's loss give
+    the same answer."""
     try:
         spec = LossSpec(kind, scale)
     except EnsembleError as exc:
         spec, message = None, str(exc)
         assert _SPEC_ERRORS.match(message), message
     else:
-        # built, but not yet clean at 0: where s^2 overflows, welsch's weight
-        # 2/s^2 reads 0 and fair's phi(0) = s^2 * 0 is NaN; huber's weight
-        # 1/(2s) reads 0 or inf where it leaves the float range
-        with np.errstate(over="ignore"):
-            out_of_range = (kind in (WELSCH, FAIR) and math.isinf(scale * scale)
-                            or kind == HUBER and not 0.0 < np.divide(1.0, 2.0 * scale) < math.inf)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                clean = phi(spec, 0.0) == 0.0 and 0.0 < delta(spec, 0.0) < math.inf
-            except RuntimeWarning:
-                clean = False
-        assert clean != out_of_range
+        assert phi(spec, 0.0) == 0.0
+        assert 0.0 < delta(spec, 0.0) < math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # the grammar: kind[:scale], repr round-trips every float

@@ -37,7 +37,6 @@ from relf import (
 )
 from relf.data import NOISE_GAUSSIAN
 from relf.exceptions import (
-    DegenerateTraceWarning,
     DimensionMismatchError,
     NonFiniteObjectiveError,
     RelfError,
@@ -713,6 +712,25 @@ class TestPredict:
             predict(model, [[1.0, 2.0]])
 
 
+def _three_index_ratio(trace, early=10, final=30):
+    """The decrease ratio as an index-parametrised formula: ``R(s)`` reads
+    risk ``s`` (1-based), or the last risk of a converged trace shorter
+    than ``s``; None where an unconverged trace is too short; 1.0 for a
+    flat span."""
+    risks = trace.risks
+
+    def risk_at(s):
+        if s <= len(risks):
+            return float(risks[s - 1])
+        return float(risks[-1]) if trace.converged else None
+
+    r1, r_early, r_final = risk_at(1), risk_at(early), risk_at(final)
+    if r_final is None:
+        return None
+    span = r1 - r_final
+    return 1.0 if span == 0.0 else (r1 - r_early) / span
+
+
 class TestDecreaseRatio:
     @staticmethod
     def _trace(risks, converged=False):
@@ -726,29 +744,34 @@ class TestDecreaseRatio:
             np.linspace(617.9089, 615.2434, 10),
             np.linspace(615.2434, 615.2070, 21)[1:],
         ])
-        ratio = decrease_ratio(self._trace(risks), 10, 30)
+        ratio = decrease_ratio(self._trace(risks))
         assert abs(ratio - 0.986528) <= 1e-5
 
     def test_all_decrease_by_ten(self):
         risks = np.concatenate([np.linspace(10.0, 5.0, 10), np.full(20, 5.0)])
-        assert decrease_ratio(self._trace(risks), 10, 30) == 1.0
+        assert decrease_ratio(self._trace(risks)) == 1.0
 
     def test_flat_trace_convention(self):
-        with pytest.warns(DegenerateTraceWarning):
-            assert decrease_ratio(self._trace(np.full(30, 7.0)), 10, 30) == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert decrease_ratio(self._trace(np.full(30, 7.0))) == 1.0
 
     def test_converged_short_trace_extends(self):
-        assert decrease_ratio(self._trace([10.0, 5.0], converged=True), 10, 30) == 1.0
+        assert decrease_ratio(self._trace([10.0, 5.0], converged=True)) == 1.0
 
-    def test_short_unconverged_raises(self):
-        with pytest.raises(ValueError):
-            decrease_ratio(self._trace([10.0, 5.0]), 10, 30)
+    def test_short_unconverged_is_none(self):
+        assert decrease_ratio(self._trace([10.0, 5.0])) is None
+        assert decrease_ratio(self._trace(np.linspace(3.0, 1.0, 29))) is None
 
-    def test_bad_indices(self):
-        with pytest.raises(ValueError):
-            decrease_ratio(self._trace(np.linspace(3, 1, 30)), 0, 30)
-        with pytest.raises(ValueError):
-            decrease_ratio(self._trace(np.linspace(3, 1, 30)), 20, 10)
+    @given(risks=st.one_of(
+               st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40),
+               st.tuples(st.floats(0.0, 1e6), st.integers(1, 40)).map(lambda t: [t[0]] * t[1])),
+           converged=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_three_index_formula(self, risks, converged):
+        # bit for bit: repr tells every float apart, -0.0 from 0.0 too
+        trace = self._trace(risks, converged)
+        assert repr(decrease_ratio(trace)) == repr(_three_index_ratio(trace))
 
 
 class TestSerialization:

@@ -102,6 +102,10 @@ ERROR_CASES = (
                  "--label-column", "y"])
       for name in ("model-missing-key", "model-unknown-key", "model-off-simplex-weights",
                    "model-unknown-loss", "model-duplicate-loss")),
+    # every noise flag is checked, the other mode's too
+    ("toy-off-mode-flag", 1, ["toy", "--noise", "gaussian", "--outlier-fraction", "1.5"]),
+    # a scale whose s^2 overflows: welsch's weight would read 0 everywhere
+    ("welsch-scale-1e200", 1, ["toy", "--ensemble", "welsch:1e200"]),
 )
 
 
