@@ -18,8 +18,6 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .data import (
     NOISE_GAUSSIAN,
     NOISE_OUTLIER,
@@ -53,6 +51,7 @@ EXIT_PARTIAL = 3
 
 TOY_ENSEMBLE_TEXT = "welsch:1.5,l1l2"
 TOY_OUTLIER_FRACTION = 10.0 / 81.0  # ten of the 81 toy samples
+WRITE_BLOCK_ROWS = 4096  # prediction rows turned into Python floats at a time
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,7 +114,7 @@ def cmd_fit(args) -> int:
     print(f"loaded: {args.data} (n={ds.n}, d={ds.d})")
 
     preprocessing = Preprocessing.fit(ds, args.scale, not args.no_intercept)
-    ds = preprocessing.apply(ds)
+    ds = preprocessing.apply(ds, in_place=True)
     model = replace(fit(ds, ensemble, config), preprocessing=preprocessing)
     _print_model(model, ds.feature_names)
 
@@ -133,30 +132,31 @@ def cmd_predict(args) -> int:
     })
     model = load_model(args.model)
 
-    if args.format == "libsvm" or args.label_column is not None:
+    if args.format == "csv" and args.label_column is None:
+        # label-free csv: every column is a feature
+        ds = load_csv(args.data, None, has_header=not args.no_header)
+        y = None
+    else:
         ds = _load_dataset(args.data, args.format, args.label_column,
                            has_header=not args.no_header)
         y = ds.y
-    else:
-        # label-free csv: every column is a feature
-        ds = load_csv(args.data, 0, has_header=not args.no_header)
-        ds = Dataset(X=np.hstack([ds.y[:, None], ds.X]), y=np.zeros(ds.n))
-        y = None
 
-    yhat = predict(model, model.preprocessing.apply(ds).X)
+    yhat = predict(model, model.preprocessing.apply(ds, in_place=True).X)
     if y is not None:
         mae, rmse = error_metrics(y - yhat)
         print(f"mae: {mae:.6f}")
         print(f"rmse: {rmse:.6f}")
     if args.output:
-        header, columns = "prediction", [yhat.tolist()]
+        header, row, columns = "prediction", "{!r}\r\n", [yhat]
         if y is not None:
-            header, columns = "prediction,label", columns + [y.tolist()]
+            header, row, columns = "prediction,label", "{!r},{!r}\r\n", [yhat, y]
         # repr floats never need quoting; "\r\n" ends rows as csv.writer does;
-        # row by row, so that no list of all the lines is held
+        # a block of rows at a time, so that no list of all the values is held
         with open(args.output, "w", newline="") as fh:
             fh.write(header + "\r\n")
-            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*columns))
+            for start in range(0, len(yhat), WRITE_BLOCK_ROWS):
+                fh.writelines(map(row.format, *(column[start:start + WRITE_BLOCK_ROWS].tolist()
+                                                for column in columns)))
         print(f"predictions: {args.output} ({len(yhat)} rows)")
     else:
         for value in yhat:

@@ -11,7 +11,6 @@ with either Gaussian label noise or injected label outliers.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import sys
 import warnings
@@ -197,12 +196,18 @@ class Preprocessing:
         """The map for training data ``ds``, scaled by its own ranges."""
         return cls(fit_scaler(ds) if scale else None, intercept)
 
-    def apply(self, ds: Dataset) -> Dataset:
+    def apply(self, ds: Dataset, in_place: bool = False) -> Dataset:
         """``ds`` with its features mapped, written into one new (n, d +
         intercept) array; ``ds`` itself for the identity.  A scaler fitted
         for other than ``ds.d`` columns raises
         :class:`DimensionMismatchError`, an intercept on a dataset that has
-        one :class:`DataError`, in that order."""
+        one :class:`DataError`, in that order.
+
+        With ``in_place`` the design is written over ``ds.X`` instead, or,
+        with an intercept, over the table whose last elements ``ds.X`` is,
+        as :func:`load_csv` leaves it; a new array is made only where there
+        is no such room.  ``ds`` must not be used afterwards: this is for a
+        caller that drops it, as ``relf fit`` and ``relf predict`` do."""
         if self.scaler is None and not self.intercept:
             return ds
         lo = hi = None
@@ -212,14 +217,33 @@ class Preprocessing:
             if lo.shape != (ds.d,) or hi.shape != (ds.d,):
                 raise DimensionMismatchError(
                     f"scaler fitted for {lo.shape[0]} columns, dataset has {ds.d}")
-        X = feature_map(ds.X, lo, hi, self.intercept)
         names = ds.feature_names
         if self.intercept:
             if ds.has_intercept:
                 raise DataError("dataset already has an intercept column")
             names = names + ("intercept",) if names else None
+        out = _design_over(ds.X, ds.d + self.intercept) if in_place else None
+        X = feature_map(ds.X, lo, hi, self.intercept, out=out)
         return Dataset(X=X, y=ds.y, feature_names=names,
                        has_intercept=ds.has_intercept or self.intercept)
+
+
+def _design_over(X: np.ndarray, width: int) -> np.ndarray | None:
+    """Where the (n, ``width``) design of ``X`` can be written in place, or
+    None: over ``X`` itself for as many columns, else over the table whose
+    last elements ``X`` is, as :func:`load_csv` leaves it.  Writing row
+    ``i`` there covers no element of a later row of ``X``."""
+    if not (X.flags.c_contiguous and X.flags.writeable):
+        return None
+    if width == X.shape[1]:
+        return X
+    table = X.base
+    if (isinstance(table, np.ndarray) and table.shape == (X.shape[0], width)
+            and table.flags.c_contiguous and table.flags.writeable
+            and X.__array_interface__["data"][0]
+            == table.__array_interface__["data"][0] + table.nbytes - X.nbytes):
+        return table
+    return None
 
 
 _KIND_NAMES = {str: "a string", str | None: "a string", bool: "a boolean", int: "an integer",
@@ -301,46 +325,60 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
     """Load a dense CSV file.
 
     ``label_column`` is a 0-based column index, or a header name when
-    ``has_header`` is true.  The header is the first non-blank row; rows
-    whose cells are all blank are skipped and cells may be double-quoted.  All
-    cells must parse as floats; rows of uneven width, or a header wider
-    than the rows, raise :class:`DataError`; unparseable cells raise
+    ``has_header`` is true; None reads every column as a feature, with
+    zero labels.  The header is the first non-blank row; rows whose cells
+    are all blank are skipped and cells may be double-quoted.  All cells
+    must parse as floats; rows of uneven width, or a header wider than the
+    rows, raise :class:`DataError`; unparseable cells raise
     :class:`ParseError` with 1-based coordinates, where the row is the
     file line on which the record starts.
 
-    The data rows are parsed in one call to numpy's C parser.  Only a file
-    it refuses is parsed again cell by cell, which either accepts it too or
-    names the first bad cell.  ``X`` and ``y`` are C-contiguous arrays that
-    own their memory: the file's bytes are freed once parsed, and the
-    parsed table once split into them.
+    The file is read in chunks, never whole: first scanned for bytes that
+    only numpy reads as space, then, if it holds none, its data rows are
+    parsed in one call to numpy's C parser straight from the open file.
+    Only a file it refuses is parsed again cell by cell, which either
+    accepts it too or names the first bad cell.  The rows land in one
+    (n, d + 1) C-contiguous table that owns its memory, and that is the
+    one copy of the data: ``y`` is copied out of it, and ``X`` is a
+    C-contiguous view of its last ``n * d`` elements, where the features
+    are moved in place (without a label, ``X`` is the whole table).
     """
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DataIOError(f"cannot read {path}: {exc}") from exc
-
-    try:
-        parsed = None
-        if not any(byte in raw for byte in _NUMPY_ONLY_SPACE):
-            parsed = _parse_bulk(_text(raw), has_header)
-        if parsed is None:
-            parsed = _parse_checked(_text(raw), path, label_column, has_header)
+        with open(path, newline="") as stream:
+            parsed = None
+            if not _holds_any(stream.buffer, _NUMPY_ONLY_SPACE):
+                stream.seek(0)
+                parsed = _parse_bulk(stream, has_header)
+            if parsed is None:
+                stream.seek(0)
+                parsed = _parse_checked(stream, path, label_column, has_header)
     except UnicodeDecodeError as exc:
         raise DataIOError.undecodable(path, exc) from None
-    del raw  # free the file's bytes before X is split off the table
-    header, rows = parsed
-    return _split_label(rows, header, label_column)
+    except OSError as exc:
+        raise DataIOError(f"cannot read {path}: {exc}") from exc
+    header, table = parsed
+    return _split_label(table, header, label_column)
 
 
 # numpy strips these ASCII separators around a number as whitespace, but
 # float() rejects them: files holding one take the cell-by-cell parse
 _NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
+_SCAN_CHUNK = 1 << 20  # bytes read at a time by the scan
+
+# elements of a row block that load_csv and feature_map work through at a time
+_BLOCK_ELEMS = 2**14
 
 
-def _text(raw: bytes):
-    """Text stream over ``raw``, decoded as ``open(path, newline="")`` would."""
-    return io.TextIOWrapper(io.BytesIO(raw), newline="")
+def _block_rows(width: int) -> int:
+    return max(_BLOCK_ELEMS // max(width, 1), 1)
+
+
+def _holds_any(fh, chars: bytes) -> bool:
+    """Whether the rest of the binary file ``fh`` holds a byte of ``chars``."""
+    while chunk := fh.read(_SCAN_CHUNK):
+        if any(byte in chunk for byte in chars):
+            return True
+    return False
 
 
 def _has_content(row) -> bool:
@@ -392,7 +430,8 @@ def _parse_checked(stream, path, label_column, has_header: bool):
         raise DataError(f"{path} holds no data rows")
 
     width = len(lines[first_data][1])
-    _label_index(label_column, header, width)  # label errors come first
+    if label_column is not None:
+        _label_index(label_column, header, width)  # label errors come first
 
     rows = np.empty((len(lines) - first_data, width))
     for i, (file_line, row) in enumerate(lines[first_data:]):
@@ -423,16 +462,28 @@ def _label_index(label_column, header, width: int) -> int:
     return label_idx
 
 
-def _split_label(rows: np.ndarray, header, label_column) -> Dataset:
-    width = rows.shape[1]
-    label_idx = _label_index(label_column, header, width)
+def _split_label(table: np.ndarray, header, label_column) -> Dataset:
+    """The dataset of ``table``, made without a design-sized copy: ``y`` is
+    copied out of the label column, then the features are moved in place,
+    row block by row block from the last, into the table's last ``n * d``
+    elements, where ``X`` is a C-contiguous view.  The table's first ``n``
+    elements are left spare (see :meth:`Preprocessing.apply`)."""
+    n, width = table.shape
+    label_idx = None if label_column is None else _label_index(label_column, header, width)
     if header is not None and len(header) > width:
         raise DataError(f"header line has {len(header)} cells, data rows have {width}")
+    if label_idx is None:
+        return Dataset(X=table, y=np.zeros(n), feature_names=header)
     names = None if header is None else tuple(
         h for j, h in enumerate(header) if j != label_idx)
-    # copies, so that no view keeps the whole table alive
-    return Dataset(X=np.delete(rows, label_idx, axis=1), y=rows[:, label_idx].copy(),
-                   feature_names=names)
+    y = table[:, label_idx].copy()
+    X = table.reshape(-1)[n:].reshape(n, width - 1)
+    rows = _block_rows(width)
+    # row i moves from element i * width to n + i * (width - 1), never
+    # below: a block goes before the ones beneath it, which it may overlap
+    for start in reversed(range(0, n, rows)):
+        X[start:start + rows] = np.delete(table[start:start + rows], label_idx, axis=1)
+    return Dataset(X=X, y=y, feature_names=names)
 
 
 def load_libsvm(path) -> Dataset:
@@ -582,17 +633,27 @@ def minmax_map(values, lo, hi, out=None):
 
 
 def feature_map(X, lo=None, hi=None, intercept: bool = False, out=None) -> np.ndarray:
-    """Features ``X`` (..., d) mapped by ``lo``/``hi`` (:func:`minmax_map`; as
+    """Features ``X`` (n, d) mapped by ``lo``/``hi`` (:func:`minmax_map`; as
     they are if None), then ones appended if ``intercept``, into ``out`` if
-    given, else into one new array."""
+    given, else into one new array.
+
+    The rows go a block at a time, from the first, each block mapped into
+    one block-sized scratch array and checked before it is written to
+    ``out``.  So ``out`` may overlap ``X`` wherever writing row ``i`` covers
+    no later row of ``X``, and an overflow error still names the value as
+    it was."""
+    n, d = X.shape
     if out is None:
-        out = np.empty(X.shape[:-1] + (X.shape[-1] + intercept,))
-    if lo is None:
-        out[..., :X.shape[-1]] = X
-    else:
-        minmax_map(X, lo, hi, out=out[..., :X.shape[-1]])
+        out = np.empty((n, d + intercept))
+    rows = _block_rows(d)
+    scratch = np.empty((min(rows, n), d)) if lo is not None else None
+    for start in range(0, n, rows):
+        block = X[start:start + rows]
+        if lo is not None:
+            block = minmax_map(block, lo, hi, out=scratch[:len(block)])
+        out[start:start + len(block), :d] = block
     if intercept:
-        out[..., -1] = 1.0
+        out[:, -1] = 1.0
     return out
 
 

@@ -250,22 +250,35 @@ class TestPredictCommand:
         assert rows[0] == "prediction,label"
         assert len(rows) == 82
 
-    def test_value_scaled_past_the_float_range(self, tmp_path, capsys):
+    @staticmethod
+    def _predict_far(tmp_path, capsys, far_text, *flags):
+        """``relf predict`` of ``far_text`` by a model scaled on [0, 1e-300]:
+        its exit status and stderr."""
         train = tmp_path / "narrow.csv"
         train.write_text("x,y\n0,1\n5e-301,2\n1e-300,3\n")
         model_path = tmp_path / "model.json"
         assert main(["fit", "--data", str(train), "--label-column", "y", "--scale",
                      "--output", str(model_path)]) == 0
         far = tmp_path / "far.csv"
-        far.write_text("x\n1e10\n")
+        far.write_text(far_text)
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["predict", "--model", str(model_path), "--data", str(far)])
-        assert code == 1
-        assert capsys.readouterr().err == (
+            code = main(["predict", "--model", str(model_path), "--data", str(far), *flags])
+        return code, capsys.readouterr().err
+
+    def test_value_scaled_past_the_float_range(self, tmp_path, capsys):
+        assert self._predict_far(tmp_path, capsys, "x\n1e10\n") == (1, (
             "error: scaling 10000000000.0 by the training range [0.0, 1e-300] "
-            "overflows the float range\n")
+            "overflows the float range\n"))
+
+    def test_labelled_value_scaled_past_the_float_range(self, tmp_path, capsys):
+        # the design is written over the loaded table, yet the error names
+        # the value as it was read
+        assert self._predict_far(tmp_path, capsys, "y,x\n1,0\n2,1e10\n3,0\n",
+                                 "--label-column", "y") == (1, (
+            "error: scaling 10000000000.0 by the training range [0.0, 1e-300] "
+            "overflows the float range\n"))
 
     def test_metrics_of_huge_finite_errors_are_finite(self, tmp_path, capsys):
         train = tmp_path / "line.csv"

@@ -65,7 +65,8 @@ def test_this_checkout_against_itself(tmp_path, tool):
     verdicts = dict(line.split(maxsplit=1) for line in lines[:-1])
     assert set(verdicts.values()) == {"identical"}
     assert {"toy.stdout", "fit.stdout", "predict.stdout", "bench.stdout", "model.json",
-            "predictions.csv", "bench/report.csv", "bench/report.json",
+            "predictions.csv", "fit-mid.stdout", "predict-mid.stdout", "model-mid.json",
+            "predictions-mid.csv", "bench/report.csv", "bench/report.json",
             "fit-tall.bits"} <= verdicts.keys()
     assert sum(name.startswith("demos/") for name in verdicts) == len(
         list((ROOT / "demos").glob("*.py")))

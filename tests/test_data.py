@@ -262,6 +262,11 @@ class TestLoadCsvOracle:
         assert ds.X.shape == (rows.shape[0], rows.shape[1] - 1)
         names = None if header is None else tuple(header[:label_idx] + header[label_idx + 1:])
         assert ds.feature_names == names
+        # without a label every column is a feature
+        ds = load_csv(path, None, has_header=has_header)
+        assert ds.X.tobytes() == rows.tobytes() and ds.X.shape == rows.shape
+        assert ds.y.tobytes() == np.zeros(rows.shape[0]).tobytes()
+        assert ds.feature_names == (None if header is None else tuple(header))
 
     def test_single_row_and_label_only(self, tmp_path):
         path = tmp_path / "one.csv"
@@ -323,9 +328,20 @@ def _owns_c_array(a) -> bool:
     return a.base is None and a.flags.c_contiguous
 
 
+def _tails_owned_table(X) -> bool:
+    """``X`` is a C-contiguous view of the last elements of an owned
+    C-contiguous table one column wider."""
+    table = X.base
+    return (X.flags.c_contiguous and _owns_c_array(table)
+            and table.shape == (X.shape[0], X.shape[1] + 1)
+            and (X.size == 0 or X.__array_interface__["data"][0]
+                 == table.__array_interface__["data"][0] + table.nbytes - X.nbytes))
+
+
 class TestLoadCsvMemory:
-    """``load_csv`` keeps one copy of the data, ``Preprocessing.apply``
-    writes one more."""
+    """``load_csv`` keeps one copy of the data, a table whose last elements
+    ``X`` is; ``Preprocessing.apply`` writes one more, or with ``in_place``
+    writes the design over that table."""
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -338,11 +354,17 @@ class TestLoadCsvMemory:
         path = tmp_path / "t.csv"
         path.write_text("".join(",".join(map(repr, row)) + "\n" for row in table.tolist()))
         ds = load_csv(path, label_idx, has_header=False)
-        assert _owns_c_array(ds.X) and _owns_c_array(ds.y)
-        try:
-            want = fit(Dataset(ds.X.copy(), ds.y.copy()), parse_ensemble(DEFAULT_ENSEMBLE_TEXT)).w
-        except RelfError:
-            want = None
+        assert _tails_owned_table(ds.X) and _owns_c_array(ds.y)
+        ensemble = parse_ensemble(DEFAULT_ENSEMBLE_TEXT)
+
+        def fitted_w(dataset):
+            try:
+                return fit(dataset, ensemble).w.tobytes()
+            except RelfError:
+                return None
+
+        want = fitted_w(Dataset(ds.X.copy(), ds.y.copy()))
+        assert fitted_w(ds) == want
         model = tmp_path / "model.json"
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(["fit", "--data", str(path), "--label-column", str(label_idx),
@@ -352,7 +374,30 @@ class TestLoadCsvMemory:
         else:
             assert code == 0
             w = np.array(json.loads(model.read_text())["w"])
-            assert w.tobytes() == want.tobytes()
+            assert w.tobytes() == want
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 30), st.integers(1, 4), st.data())
+    def test_in_place_design_has_the_bits_of_a_new_one(self, tmp_path, n, width, data):
+        values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+        table = np.array(data.draw(st.lists(values, min_size=n * width,
+                                            max_size=n * width))).reshape(n, width)
+        label = data.draw(st.one_of(st.none(), st.integers(0, width - 1)))
+        scale, intercept = data.draw(st.booleans()), data.draw(st.booleans())
+        path = tmp_path / "t.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in table.tolist()))
+        ds = load_csv(path, label, has_header=False)
+        table = ds.X if ds.X.base is None else ds.X.base
+        pre = Preprocessing.fit(ds, scale, intercept)
+        want = pre.apply(ds)
+        work = pre.apply(ds, in_place=True)
+        assert work.X.tobytes() == want.X.tobytes() and work.X.shape == want.X.shape
+        assert work.y is ds.y and work.feature_names == want.feature_names
+        # written over the table, unless an intercept finds no spare room
+        # in it (no label) or there is nothing to write
+        if work is not ds and ds.d and (label is not None or not intercept):
+            assert np.shares_memory(work.X, table)
 
     @pytest.fixture
     def big_csv(self, tmp_path):
@@ -374,6 +419,28 @@ class TestLoadCsvMemory:
             tracemalloc.stop()
         assert ds.X.shape == (20_000, 20)
         assert held <= 1.1 * (ds.X.nbytes + ds.y.nbytes)
+
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_cli_holds_one_table(self, big_csv, tmp_path, command):
+        model, preds = tmp_path / "model.json", tmp_path / "p.csv"
+        argv = {"fit": ["fit", "--data", str(big_csv), "--label-column", "y", "--scale",
+                        "--output", str(model)],
+                "predict": ["predict", "--model", str(model), "--data", str(big_csv),
+                            "--label-column", "y", "--output", str(preds)]}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv["fit"]) == 0  # a model, and one-time imports untraced
+            tracemalloc.start()
+            try:
+                assert main(argv[command]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        design = 20_000 * 21 * 8  # 20 scaled features and the intercept
+        # the table, its label column and the per-row arrays: predict's are
+        # y and the predictions; the solver's, about eight arrays of n floats,
+        # are 0.4 design at 21 columns (the whole file and two design-sized
+        # copies were held at once before, a peak of 2.45 designs)
+        assert peak <= {"fit": 1.6, "predict": 1.3}[command] * design
 
     def test_apply_writes_one_design(self, big_csv):
         tracemalloc.start()
@@ -514,6 +581,14 @@ class TestScaler:
             ref /= span
             ref += -1.0
             assert np.array_equal(out, ref)
+
+    def test_in_place_overflow_names_the_value_read(self, tmp_path):
+        path = tmp_path / "far.csv"
+        path.write_text("y,x\n1,0\n2,1e10\n3,0\n")
+        pre = Preprocessing(ScalerState(np.array([0.0]), np.array([1e-300])), intercept=True)
+        with pytest.raises(DataError, match=r"^scaling 10000000000\.0 by the training range "
+                                            r"\[0\.0, 1e-300\] overflows the float range$"):
+            pre.apply(load_csv(path, "y"), in_place=True)
 
     def test_width_mismatch(self):
         ds = Dataset(X=[[0.0, 1.0]], y=[0.0])

@@ -7,9 +7,10 @@ against each one's ``src/``, every call in a fresh interpreter with one BLAS
 thread, on inputs generated once here from fixed seeds:
 
 * ``relf toy`` (gaussian and outlier noise), ``relf fit --scale`` and
-  ``relf predict`` on a generated CSV pair, and ``relf bench`` on a small
+  ``relf predict`` on a generated CSV pair and on the same pair with the
+  label as a middle column, and ``relf bench`` on a small
   generated manifest of a CSV, a libsvm and a synthetic set: their stdout,
-  ``model.json``, ``predictions.csv``, ``report.csv`` and ``report.json``
+  ``model*.json``, ``predictions*.csv``, ``report.csv`` and ``report.json``
   (whose ``seconds`` fields, being wall-clock times, are left out);
 * the CLI on a fixed corpus of malformed inputs (:data:`ERROR_CASES`: bad
   files, bad loss lists, bad flags, manifests and model files): stdout,
@@ -106,6 +107,11 @@ ERROR_CASES = (
     ("toy-off-mode-flag", 1, ["toy", "--noise", "gaussian", "--outlier-fraction", "1.5"]),
     # a scale whose s^2 overflows: welsch's weight would read 0 everywhere
     ("welsch-scale-1e200", 1, ["toy", "--ensemble", "welsch:1e200"]),
+    # a labelled feature that scales past the float range: the error names
+    # the value read, though the design is written over the loaded table
+    ("scaled-past-float-range", 1,
+     ["predict", "--model", "{in}/model-narrow.json", "--data", "{in}/far.csv",
+      "--label-column", "y"]),
 )
 
 
@@ -119,10 +125,14 @@ def _linear_rows(rng, n, d, outlier_fraction):
     return X, y
 
 
-def _write_csv(path, X, y):
-    header = ",".join([f"x{j}" for j in range(X.shape[1])] + ["y"])
-    rows = (",".join(map(repr, row)) for row in np.column_stack([X, y]).tolist())
-    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+def _write_csv(path, X, y, label_at=None):
+    """Features ``x0``, ``x1``, ... and the label ``y`` after them, or at
+    column ``label_at``."""
+    at = X.shape[1] if label_at is None else label_at
+    names = [f"x{j}" for j in range(X.shape[1])]
+    names.insert(at, "y")
+    rows = (",".join(map(repr, row)) for row in np.insert(X, at, y, axis=1).tolist())
+    path.write_text(",".join(names) + "\n" + "\n".join(rows) + "\n")
 
 
 def _write_libsvm(path, X, y):
@@ -138,6 +148,9 @@ def make_inputs(root: Path, csv_rows: int) -> None:
     X, y = _linear_rows(rng, csv_rows + csv_rows // 4, 6, 0.1)
     _write_csv(root / "train.csv", X[:csv_rows], y[:csv_rows])
     _write_csv(root / "test.csv", X[csv_rows:], y[csv_rows:])
+    # the label mid-row: load_csv moves the features after it
+    _write_csv(root / "train-mid.csv", X[:csv_rows], y[:csv_rows], label_at=3)
+    _write_csv(root / "test-mid.csv", X[csv_rows:], y[csv_rows:], label_at=3)
     X, y = _linear_rows(rng, 120, 5, 0.0)
     _write_csv(root / "bench-a.csv", X, y)
     X, y = _linear_rows(rng, 90, 4, 0.0)
@@ -198,6 +211,12 @@ def make_inputs(root: Path, csv_rows: int) -> None:
                       ("model-duplicate-loss", {**model, "ensemble": [
                           {"kind": "l1l2", "scale": 1.0}, {"kind": "l1l2", "scale": 2.0}]})):
         (root / f"{name}.json").write_text(json.dumps(bad, indent=2) + "\n")
+    # a model of one feature scaled on [0, 1e-300], and a CSV whose label
+    # comes first and whose middle row lies far outside that range
+    narrow = {**model, "w": [0.5, 0.5], "preprocessing": {
+        "intercept": True, "scaler": {"feature_min": [0.0], "feature_max": [1e-300]}}}
+    (root / "model-narrow.json").write_text(json.dumps(narrow, indent=2) + "\n")
+    (root / "far.csv").write_text("y,x\n1,0\n2,1e10\n3,0\n")
 
 
 # --- one checkout's outputs -----------------------------------------------------
@@ -236,10 +255,15 @@ def run_side(checkout: Path, bench_dir: Path, inputs: Path, work: Path,
          "--scale", "--output", "model.json")
     relf("predict.stdout", "predict", "--model", "model.json", "--data", f"{data}/test.csv",
          "--label-column", "y", "--output", "predictions.csv")
+    relf("fit-mid.stdout", "fit", "--data", f"{data}/train-mid.csv", "--label-column", "y",
+         "--scale", "--output", "model-mid.json")
+    relf("predict-mid.stdout", "predict", "--model", "model-mid.json", "--data",
+         f"{data}/test-mid.csv", "--label-column", "y", "--output", "predictions-mid.csv")
     shutil.copytree(inputs, work / "bench-inputs")
     relf("bench.stdout", "bench", "--manifest", "bench-inputs/manifest.json",
          "--output-dir", "bench")
-    for name in ("model.json", "predictions.csv", "bench/report.csv", "bench/report.json"):
+    for name in ("model.json", "predictions.csv", "model-mid.json", "predictions-mid.csv",
+                 "bench/report.csv", "bench/report.json"):
         path = work / name
         outputs[name] = path.read_text() if path.is_file() else "<missing>\n"
     for name, _, args in ERROR_CASES:
