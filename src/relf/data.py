@@ -37,8 +37,10 @@ class Dataset:
     has_intercept: bool = False
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        # C order: a strided operand can take another matmul kernel, and
+        # so give other bits than the same values held contiguously
+        X = np.asarray(self.X, dtype=float, order="C")
+        y = np.asarray(self.y, dtype=float, order="C")
         if X.ndim != 2:
             raise DataError(f"X must be 2-D, got shape {X.shape}")
         if y.ndim != 1:
@@ -186,22 +188,22 @@ class ScalerState:
 @dataclass(frozen=True)
 class Preprocessing:
     """A model's feature map: min-max scaling by ``scaler`` (if not None),
-    then an intercept column (if ``intercept``); by default the identity."""
+    then an intercept column (if ``intercept``); by default the identity.
+    :meth:`write` is the one code that maps dataset rows to a design: for
+    a whole dataset (:meth:`apply`) and for each cross-validation fold."""
 
     scaler: ScalerState | None = None
     intercept: bool = False
 
     @classmethod
-    def fit(cls, ds: Dataset, scale: bool, intercept: bool) -> "Preprocessing":
-        """The map for training data ``ds``, scaled by its own ranges."""
-        return cls(fit_scaler(ds) if scale else None, intercept)
+    def fit(cls, ds: Dataset, scale: bool, intercept: bool, rows=None) -> "Preprocessing":
+        """The map for training data ``ds``, or for its rows ``rows``,
+        scaled by their own ranges (:func:`fit_scaler`)."""
+        return cls(fit_scaler(ds, rows) if scale else None, intercept)
 
     def apply(self, ds: Dataset, in_place: bool = False) -> Dataset:
-        """``ds`` with its features mapped, written into one new (n, d +
-        intercept) array; ``ds`` itself for the identity.  A scaler fitted
-        for other than ``ds.d`` columns raises
-        :class:`DimensionMismatchError`, an intercept on a dataset that has
-        one :class:`DataError`, in that order.
+        """``ds`` with its features mapped by :meth:`write` into one new (n,
+        d + intercept) array; ``ds`` itself for the identity.
 
         With ``in_place`` the design is written over ``ds.X`` instead, or,
         with an intercept, over the table whose last elements ``ds.X`` is,
@@ -210,22 +212,48 @@ class Preprocessing:
         caller that drops it, as ``relf fit`` and ``relf predict`` do."""
         if self.scaler is None and not self.intercept:
             return ds
-        lo = hi = None
+        out = _design_over(ds.X, ds.d + self.intercept) if in_place else None
+        X = self.write(ds, out=out)
+        names = ds.feature_names
+        if self.intercept:
+            names = names + ("intercept",) if names else None
+        return Dataset(X=X, y=ds.y, feature_names=names,
+                       has_intercept=ds.has_intercept or self.intercept)
+
+    def write(self, ds: Dataset, rows=None, out=None) -> np.ndarray:
+        """The design of the rows ``rows`` of ``ds`` (all by default), (len,
+        d + intercept), written into ``out`` if given, else into one new
+        array.  A scaler fitted for other than ``ds.d`` columns raises
+        :class:`DimensionMismatchError`, an intercept on a dataset that has
+        one :class:`DataError`, in that order.
+
+        The rows go a block at a time, from the first: each block is
+        gathered, mapped into one block-sized scratch array and checked
+        (:func:`minmax_map`) before it is written to ``out``.  So ``out``
+        may overlap ``ds.X`` wherever writing row ``i`` covers no later row
+        of ``ds.X``, and an overflow error still names the value as it was."""
+        d = ds.d
         if self.scaler is not None:
             lo = np.asarray(self.scaler.feature_min, dtype=float)
             hi = np.asarray(self.scaler.feature_max, dtype=float)
-            if lo.shape != (ds.d,) or hi.shape != (ds.d,):
+            if lo.shape != (d,) or hi.shape != (d,):
                 raise DimensionMismatchError(
-                    f"scaler fitted for {lo.shape[0]} columns, dataset has {ds.d}")
-        names = ds.feature_names
+                    f"scaler fitted for {lo.shape[0]} columns, dataset has {d}")
+        if self.intercept and ds.has_intercept:
+            raise DataError("dataset already has an intercept column")
+        n = ds.n if rows is None else len(rows)
+        if out is None:
+            out = np.empty((n, d + self.intercept))
+        step = _block_rows(d)
+        scratch = np.empty((min(step, n), d)) if self.scaler is not None else None
+        for start in range(0, n, step):
+            block = ds.X[start:start + step] if rows is None else ds.X[rows[start:start + step]]
+            if self.scaler is not None:
+                block = minmax_map(block, lo, hi, out=scratch[:len(block)])
+            out[start:start + len(block), :d] = block
         if self.intercept:
-            if ds.has_intercept:
-                raise DataError("dataset already has an intercept column")
-            names = names + ("intercept",) if names else None
-        out = _design_over(ds.X, ds.d + self.intercept) if in_place else None
-        X = feature_map(ds.X, lo, hi, self.intercept, out=out)
-        return Dataset(X=X, y=ds.y, feature_names=names,
-                       has_intercept=ds.has_intercept or self.intercept)
+            out[:, -1] = 1.0
+        return out
 
 
 def _design_over(X: np.ndarray, width: int) -> np.ndarray | None:
@@ -365,7 +393,7 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
 _NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
 _SCAN_CHUNK = 1 << 20  # bytes read at a time by the scan
 
-# elements of a row block that load_csv and feature_map work through at a time
+# elements of a row block that load_csv and Preprocessing.write work through at a time
 _BLOCK_ELEMS = 2**14
 
 
@@ -599,9 +627,15 @@ def save_libsvm(ds: Dataset, path) -> None:
         raise DataIOError(f"cannot write {path}: {exc}") from exc
 
 
-def fit_scaler(ds: Dataset) -> ScalerState:
-    """Record per-column min/max of ``ds``."""
-    return ScalerState(feature_min=ds.X.min(axis=0), feature_max=ds.X.max(axis=0))
+def fit_scaler(ds: Dataset, rows=None) -> ScalerState:
+    """Record per-column min/max of ``ds``, or of its rows ``rows``, which
+    are read in place (a masked reduction), not gathered."""
+    if rows is None:
+        return ScalerState(feature_min=ds.X.min(axis=0), feature_max=ds.X.max(axis=0))
+    mask = np.zeros((ds.n, 1), dtype=bool)
+    mask[rows] = True
+    return ScalerState(feature_min=ds.X.min(axis=0, where=mask, initial=np.inf),
+                       feature_max=ds.X.max(axis=0, where=mask, initial=-np.inf))
 
 
 def minmax_map(values, lo, hi, out=None):
@@ -629,31 +663,6 @@ def minmax_map(values, lo, hi, out=None):
         lo_i, hi_i = (float(np.broadcast_to(a, out.shape)[i]) for a in (lo, hi))
         raise DataError(f"scaling {float(values[i])!r} by the training range "
                         f"[{lo_i!r}, {hi_i!r}] overflows the float range")
-    return out
-
-
-def feature_map(X, lo=None, hi=None, intercept: bool = False, out=None) -> np.ndarray:
-    """Features ``X`` (n, d) mapped by ``lo``/``hi`` (:func:`minmax_map`; as
-    they are if None), then ones appended if ``intercept``, into ``out`` if
-    given, else into one new array.
-
-    The rows go a block at a time, from the first, each block mapped into
-    one block-sized scratch array and checked before it is written to
-    ``out``.  So ``out`` may overlap ``X`` wherever writing row ``i`` covers
-    no later row of ``X``, and an overflow error still names the value as
-    it was."""
-    n, d = X.shape
-    if out is None:
-        out = np.empty((n, d + intercept))
-    rows = _block_rows(d)
-    scratch = np.empty((min(rows, n), d)) if lo is not None else None
-    for start in range(0, n, rows):
-        block = X[start:start + rows]
-        if lo is not None:
-            block = minmax_map(block, lo, hi, out=scratch[:len(block)])
-        out[start:start + len(block), :d] = block
-    if intercept:
-        out[:, -1] = 1.0
     return out
 
 

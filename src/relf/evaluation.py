@@ -28,7 +28,6 @@ from .data import (
     Preprocessing,
     _conforms,
     displace_labels,
-    feature_map,
     json_dataclass,
     load_csv,
     load_libsvm,
@@ -36,7 +35,7 @@ from .data import (
 )
 from .exceptions import DataError, NonFiniteObjectiveError, RelfError
 from .losses import DEFAULT_ENSEMBLE_TEXT, EnsembleSpec, parse_ensemble
-from .solver import SolverConfig, decrease_ratio, fit, fit_folds, gram_block_rows
+from .solver import SolverConfig, decrease_ratio, fit, fit_folds
 from . import linalg
 
 
@@ -239,36 +238,25 @@ def cv_folds(ds: Dataset, cv: CvConfig | None = None, *,
              scale_features: bool = True, intercept: bool = True) -> CvFolds:
     """Stack the folds of ``kfold_split(ds.n, cv)`` for :func:`cross_validate`.
 
-    Each fold's features are min-max scaled on that fold's training rows
-    (if ``scale_features``), then the intercept column is appended (if
+    Each fold's design is written by a :class:`data.Preprocessing` fitted
+    on that fold's training rows: its features min-max scaled by their
+    ranges (if ``scale_features``), then the intercept column appended (if
     ``intercept``).  Folds shorter than the longest are padded with
     all-zero rows (see :class:`FoldStack`).  A stack takes
     ``k * rows * d * 8`` bytes: the training stack holds about ``k - 1``
     copies of the design, the test stack one.
 
-    Each fold's rows are gathered and mapped straight into their place in
-    the stack, one fold at a time and :func:`solver.gram_block_rows` rows
-    at a time, and its ranges are read off ``ds`` in place, so besides the
-    two stacks and the split's index arrays only one block of gathered
-    rows is held at once.
+    The ranges are read off ``ds`` in place, and each fold's rows are
+    gathered and mapped straight into their place in the stack, a block at
+    a time, so besides the two stacks and the split's index arrays only a
+    block of rows is held at once.
     """
-    if intercept and ds.has_intercept:
-        raise DataError("dataset already has an intercept column")
     splits = kfold_split(ds.n, cv or CvConfig())
     stacks = [_zero_stack(sets, ds.d + intercept) for sets in zip(*splits)]  # training, test
-    block = gram_block_rows(ds.d)
     for j, (train, test) in enumerate(splits):
-        lo = hi = None
-        if scale_features:  # the training rows' ranges, read in place
-            is_train = np.ones((ds.n, 1), dtype=bool)
-            is_train[test] = False
-            lo = ds.X.min(axis=0, where=is_train, initial=np.inf)
-            hi = ds.X.max(axis=0, where=is_train, initial=-np.inf)
+        preprocessing = Preprocessing.fit(ds, scale_features, intercept, rows=train)
         for stack, ix in zip(stacks, (train, test)):
-            for start in range(0, len(ix), block):  # no fold-sized copy
-                part = ix[start:start + block]
-                feature_map(ds.X[part], lo, hi, intercept,
-                            out=stack.X[j, start:start + len(part)])
+            preprocessing.write(ds, ix, out=stack.X[j, :len(ix)])
             stack.y[j, :len(ix)] = ds.y[ix]
     return CvFolds(*stacks)
 

@@ -68,6 +68,9 @@ def test_this_checkout_against_itself(tmp_path, tool):
             "predictions.csv", "fit-mid.stdout", "predict-mid.stdout", "model-mid.json",
             "predictions-mid.csv", "bench/report.csv", "bench/report.json",
             "fit-tall.bits"} <= verdicts.keys()
+    # the grid again with each preprocessing flag off
+    assert {f"bench-{name}{output}" for name in ("unscaled", "no-intercept")
+            for output in (".stdout", "/report.csv", "/report.json")} <= verdicts.keys()
     assert sum(name.startswith("demos/") for name in verdicts) == len(
         list((ROOT / "demos").glob("*.py")))
     assert lines[-1] == f"{len(verdicts)} of {len(verdicts)} outputs identical"

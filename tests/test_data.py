@@ -62,6 +62,29 @@ class TestDataset:
             Dataset(X=[1.0, 2.0], y=[1.0, 2.0])
         with pytest.raises(DataError):
             Dataset(X=[[1.0]], y=[1.0], feature_names=("a", "b"))
+        with pytest.raises(DataError, match=r"^X must be 2-D, got shape \(\)$"):
+            Dataset(X=1.0, y=[1.0])
+        with pytest.raises(DataError, match=r"^y must be 1-D, got shape \(\)$"):
+            Dataset(X=[[1.0]], y=1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.integers(2, 4), st.data())
+    def test_strided_arrays_are_held_in_c_order_and_fit_like_copies(self, n, width, data):
+        # a column slice is strided; matmul may take another kernel for it
+        values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+        table = np.array(data.draw(st.lists(values, min_size=n * width,
+                                            max_size=n * width))).reshape(n, width)
+        ds = Dataset(X=table[:, :-1], y=table[:, -1])
+        assert ds.X.flags.c_contiguous and ds.y.flags.c_contiguous
+        ensemble = parse_ensemble(DEFAULT_ENSEMBLE_TEXT)
+
+        def fitted_w(dataset):
+            try:
+                return fit(dataset, ensemble).w.tobytes()
+            except RelfError:
+                return None
+
+        assert fitted_w(ds) == fitted_w(Dataset(table[:, :-1].copy(), table[:, -1].copy()))
 
     def test_take(self):
         ds = Dataset(X=[[1.0], [2.0], [3.0]], y=[1.0, 2.0, 3.0])

@@ -22,6 +22,7 @@ from relf import (
     LeastSquaresMethod,
     NoiseConfig,
     FoldStack,
+    Preprocessing,
     RelfMethod,
     add_intercept,
     apply_scaler,
@@ -522,6 +523,44 @@ class TestStackedCrossValidate:
                 assert np.all(stack.X[j, :m, -1] == 1.0)
         assert sorted(folds.test.counts) == [8] * 9 + [9]
         assert folds.train.X.shape == (10, 73, 2)
+
+
+class TestCvFolds:
+    """Each fold of ``cv_folds`` is the design of a :class:`Preprocessing`
+    fitted on the fold's training rows, padding aside."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 4), st.integers(2, 10), st.booleans(),
+           st.booleans(), st.data())
+    def test_each_fold_is_its_preprocessing_of_its_rows(self, n, d, k, scale, intercept,
+                                                        data):
+        values = st.one_of(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+                           st.sampled_from((0.0, -0.0)))
+        X = np.array(data.draw(st.lists(values, min_size=n * d, max_size=n * d))).reshape(n, d)
+        # a column of signed zeros alone: the masked and the gathered ranges
+        # may differ in their zeros' signs, but not in the design
+        zeros = data.draw(st.lists(st.sampled_from((0.0, -0.0)), min_size=n, max_size=n))
+        X[:, data.draw(st.integers(0, d - 1))] = zeros
+        ds = Dataset(X=X, y=np.arange(n, dtype=float) - n / 3)
+        cv = CvConfig(folds=min(k, n), seed=data.draw(st.integers(0, 2**16)))
+        folds = cv_folds(ds, cv, scale_features=scale, intercept=intercept)
+        for j, (train, test) in enumerate(kfold_split(ds.n, cv)):
+            want = Preprocessing.fit(ds.take(train), scale, intercept)
+            for stack, ix in ((folds.train, train), (folds.test, test)):
+                design = np.zeros(stack.X.shape[1:])
+                labels = np.zeros(stack.y.shape[1])
+                design[:len(ix)] = want.apply(ds.take(ix)).X
+                labels[:len(ix)] = ds.y[ix]
+                assert stack.counts[j] == len(ix)
+                assert stack.X[j].tobytes() == design.tobytes()
+                assert stack.y[j].tobytes() == labels.tobytes()
+
+    def test_second_intercept(self):
+        ds = Preprocessing(intercept=True).apply(synth_line())
+        with pytest.raises(DataError, match="^dataset already has an intercept column$"):
+            cv_folds(ds, CvConfig(folds=5), intercept=True)
+        folds = cv_folds(ds, CvConfig(folds=5), intercept=False)
+        assert folds.train.d == ds.d
 
 
 class TestCvMemory:

@@ -9,9 +9,11 @@ thread, on inputs generated once here from fixed seeds:
 * ``relf toy`` (gaussian and outlier noise), ``relf fit --scale`` and
   ``relf predict`` on a generated CSV pair and on the same pair with the
   label as a middle column, and ``relf bench`` on a small
-  generated manifest of a CSV, a libsvm and a synthetic set: their stdout,
-  ``model*.json``, ``predictions*.csv``, ``report.csv`` and ``report.json``
-  (whose ``seconds`` fields, being wall-clock times, are left out);
+  generated manifest of a CSV, a libsvm and a synthetic set, as it is and
+  with ``scale_features`` or ``intercept`` off (:data:`BENCH_VARIANTS`):
+  their stdout, ``model*.json``, ``predictions*.csv``, ``report.csv`` and
+  ``report.json`` (whose ``seconds`` fields, being wall-clock times, are
+  left out);
 * the CLI on a fixed corpus of malformed inputs (:data:`ERROR_CASES`: bad
   files, bad loss lists, bad flags, manifests and model files): stdout,
   exit status and stderr, so an error's message and exit code are compared
@@ -67,6 +69,9 @@ for key in ("w", "lam", "risks"):
 """
 
 TOKEN = re.compile(r"[^\s,=]+")
+
+# the manifest's grid run again with one preprocessing flag off: name -> flag
+BENCH_VARIANTS = {"unscaled": "scale_features", "no-intercept": "intercept"}
 
 # malformed inputs: (name, the exit status the run should end with, relf
 # arguments, in which "{in}" is the inputs directory)
@@ -169,6 +174,9 @@ def make_inputs(root: Path, csv_rows: int) -> None:
         "methods": ["relf", "irls:huber:0.5", "relf:welsch:1.5,fair", "ridge:1e-2", "ols"],
     }
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    for name, flag in BENCH_VARIANTS.items():
+        (root / f"manifest-{name}.json").write_text(
+            json.dumps({**manifest, flag: False}, indent=2) + "\n")
     # the malformed inputs of ERROR_CASES
     (root / "ragged.csv").write_text("x,y\n1,2\n3,4,5\n")
     (root / "wide-header.csv").write_text("x,y,z\n1,2\n3,4\n")
@@ -260,10 +268,13 @@ def run_side(checkout: Path, bench_dir: Path, inputs: Path, work: Path,
     relf("predict-mid.stdout", "predict", "--model", "model-mid.json", "--data",
          f"{data}/test-mid.csv", "--label-column", "y", "--output", "predictions-mid.csv")
     shutil.copytree(inputs, work / "bench-inputs")
-    relf("bench.stdout", "bench", "--manifest", "bench-inputs/manifest.json",
-         "--output-dir", "bench")
+    benches = {"bench": "manifest", **{f"bench-{name}": f"manifest-{name}"
+                                       for name in BENCH_VARIANTS}}
+    for bench, manifest in benches.items():
+        relf(f"{bench}.stdout", "bench", "--manifest", f"bench-inputs/{manifest}.json",
+             "--output-dir", bench)
     for name in ("model.json", "predictions.csv", "model-mid.json", "predictions-mid.csv",
-                 "bench/report.csv", "bench/report.json"):
+                 *(f"{bench}/report.{ext}" for bench in benches for ext in ("csv", "json"))):
         path = work / name
         outputs[name] = path.read_text() if path.is_file() else "<missing>\n"
     for name, _, args in ERROR_CASES:
