@@ -9,10 +9,12 @@ redescending welsch loss -- the only member able to ignore them -- gains
 share, and the slope estimate barely moves.
 """
 
-from relf import FoldStack, NoiseConfig, fit, ols_fit, parse_ensemble, synth_line
+from relf import (FoldStack, LeastSquaresMethod, NoiseConfig, fit, parse_ensemble,
+                  synth_line)
 from relf.data import NOISE_GAUSSIAN, NOISE_OUTLIER
 
 ensemble = parse_ensemble("welsch:1.5,l1l2")
+ols = LeastSquaresMethod(ridge_alpha=0.0)
 
 for label, noise in [
     ("gaussian noise", NoiseConfig(mode=NOISE_GAUSSIAN, gaussian_std=1.0, seed=0)),
@@ -24,7 +26,7 @@ for label, noise in [
     model = fit(ds, ensemble)
     print(f"{label}:")
     print(f"  slope estimate   {model.w[0]:8.4f}   (true slope 2.0)")
-    print(f"  ols slope        {ols_fit(FoldStack.of(ds))[0, 0]:8.4f}")
+    print(f"  ols slope        {ols.fold_weights(FoldStack.of(ds))[0, 0]:8.4f}")
     for name, lam in zip(model.ensemble.labels(), model.loss_weights):
         print(f"  lambda[{name:<10}] {lam:8.4f}")
     print(f"  iterations {model.trace.iterations}, "

@@ -71,7 +71,6 @@ from .evaluation import (
     error_metrics,
     increase_ratio,
     kfold_split,
-    ols_fit,
     parse_method,
     run_benchmark,
     train_labels,

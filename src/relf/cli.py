@@ -18,6 +18,8 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .data import (
     NOISE_GAUSSIAN,
     NOISE_OUTLIER,
@@ -140,6 +142,9 @@ def cmd_predict(args) -> int:
         ds = _load_dataset(args.data, args.format, args.label_column,
                            has_header=not args.no_header)
         y = ds.y
+    width = len(model.w) - model.preprocessing.intercept
+    if args.format == "libsvm" and ds.d < width:  # omitted trailing entries are zeros
+        ds = Dataset(X=np.pad(ds.X, [(0, 0), (0, width - ds.d)]), y=y)
 
     yhat = predict(model, model.preprocessing.apply(ds, in_place=True).X)
     if y is not None:

@@ -97,18 +97,6 @@ def derive_seed(*keys) -> int:
 
 # --- methods ----------------------------------------------------------------
 
-def ols_fit(stack: FoldStack, ridge_alpha: float = 0.0) -> np.ndarray:
-    """Least squares via the normal equations, with optional ridge term:
-    one ``w`` per fold of ``stack``, (k, d), over the fold's own rows.
-
-    ``ridge_alpha`` is passed straight to the jittered SPD solve, so 0
-    still gets the 1e-12 stability floor; large values shrink ``w`` to 0.
-    :class:`DataError` if it is not finite and >= 0, as for
-    :class:`LeastSquaresMethod`.
-    """
-    return LeastSquaresMethod(ridge_alpha).fold_weights(stack, stack.y[None])[0]
-
-
 @dataclass(frozen=True)
 class RelfMethod:
     """Ensemble model as a benchmark method."""
@@ -117,15 +105,10 @@ class RelfMethod:
     config: SolverConfig = field(default_factory=SolverConfig)
     label: str = "relf"
 
-    def fold_weights(self, train: FoldStack, labels) -> np.ndarray:
-        """One ``w`` per fold of ``train`` and label stack of ``labels``
-        (L, k, rows), (L, k, d): the L levels' folds are fitted in one
-        solver loop, as L*k systems on ``train``'s own designs, which are
-        not copied."""
-        levels = len(labels)
-        stack = FoldStack(train.X, np.concatenate(labels), np.tile(train.counts, levels))
-        w = np.stack([m.w for m in fit_folds(stack, self.ensemble, self.config)])
-        return w.reshape(levels, train.k, train.d)
+    def fold_weights(self, stack: FoldStack) -> np.ndarray:
+        """One ``w`` per system of ``stack``, (k, d), all fitted in one
+        solver loop (:func:`fit_folds`)."""
+        return np.stack([m.w for m in fit_folds(stack, self.ensemble, self.config)])
 
 
 @dataclass(frozen=True)
@@ -139,27 +122,28 @@ class LeastSquaresMethod:
         if not np.isfinite(self.ridge_alpha) or self.ridge_alpha < 0:
             raise DataError(f"ridge_alpha must be >= 0, got {self.ridge_alpha!r}")
 
-    def fold_weights(self, train: FoldStack, labels) -> np.ndarray:
-        """One ``w`` per fold of ``train`` and label stack of ``labels``
-        (L, k, rows), (L, k, d).  Each fold's Gram ``X^T X`` is formed once
-        for all L; every level's system gets the bits of its lone solve;
+    def fold_weights(self, stack: FoldStack) -> np.ndarray:
+        """One ``w`` per system of ``stack``, (k, d), by the jittered
+        normal equations (``ridge_alpha`` 0 still gets the solve's 1e-12
+        floor).  Each design's Gram ``X^T X`` is formed once, for every
+        system on it; each system gets the bits of its lone solve.
         :class:`NonFiniteObjectiveError` if a Gram or ``X^T y`` overflows
         the float range."""
-        labels = np.asarray(labels, dtype=float)
-        A = np.empty((train.k, train.d, train.d))
-        b = np.empty((len(labels), train.k, train.d, 1))
+        period = len(stack.X)  # system i sits on design i % period
+        A = np.empty((period, stack.d, stack.d))
+        b = np.empty((stack.k, stack.d, 1))
         with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-            for folds, designs, count in train.runs:
-                X = train.X[designs, :count]
-                A[folds] = X.transpose(0, 2, 1) @ X
-                b[:, folds] = X.transpose(0, 2, 1) @ labels[:, folds, :count, None]
+            for folds, designs, count in stack.runs:
+                X = stack.X[designs, :count]
+                if folds.start < period:  # the first pass over the designs
+                    A[designs] = X.transpose(0, 2, 1) @ X
+                b[folds] = X.transpose(0, 2, 1) @ stack.y[folds, :count, None]
             A = 0.5 * (A + A.transpose(0, 2, 1))
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise NonFiniteObjectiveError(
                 "least-squares normal equations overflow the float range")
-        A = np.broadcast_to(A, (len(labels),) + A.shape).reshape(-1, train.d, train.d)
-        w = linalg.solve_spd_with_jitter(A, b.reshape(-1, train.d), self.ridge_alpha)
-        return w.reshape(b.shape[:3])
+        A = A[np.arange(stack.k) % period]
+        return linalg.solve_spd_with_jitter(A, b[..., 0], self.ridge_alpha)
 
 
 def parse_method(text: str, solver_config: SolverConfig | None = None):
@@ -291,14 +275,17 @@ def cross_validate(folds: CvFolds, method, labels=None) -> list[CvResult]:
     level (see :func:`train_labels`); by default the clean labels alone.
 
     Test folds are never touched, and the fold split is the same for every
-    level, so clean/contaminated runs compare like for like.  All levels
-    are fitted in one ``method.fold_weights`` call; every fold sums over
-    its own rows, so each gives the fit of a lone level bit for bit.
-    :func:`fit_folds` orders the fit errors.
+    level, so clean/contaminated runs compare like for like.  The L levels
+    are laid over the k fold designs as one :class:`FoldStack` of L*k
+    systems, each level's labels in its own block, and fitted in one
+    ``method.fold_weights`` call; every fold sums over its own rows, so
+    each gives the fit of a lone level bit for bit.  :func:`fit_folds`
+    orders the fit errors.
     """
     labels = [folds.train.y] if labels is None else list(labels)
-    test = folds.test
-    w = method.fold_weights(folds.train, labels)
+    train, test = folds.train, folds.test
+    stack = FoldStack(train.X, np.concatenate(labels), np.tile(train.counts, len(labels)))
+    w = method.fold_weights(stack).reshape(len(labels), train.k, train.d)
     fold_mae, fold_rmse = np.empty(w.shape[:2]), np.empty(w.shape[:2])
     for run, designs, count in test.runs:  # the errors, mae and rmse of each fold's own rows
         err = test.y[run, :count] - (test.X[designs, :count] @ w[:, run, :, None])[..., 0]
@@ -317,6 +304,11 @@ def increase_ratio(contaminated_mae: float, clean_mae: float) -> float:
 
 def _float_cell(value) -> str:
     return repr(float(value))
+
+
+def _error_text(exc: Exception) -> str:
+    """A failed cell's ``error``: the exception's class name and message."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 @dataclass
@@ -505,7 +497,7 @@ def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
             folds = cv_folds(ds, cv, scale_features=top.scale_features, intercept=top.intercept)
             load_error = None
         except Exception as exc:
-            load_error = f"{type(exc).__name__}: {exc}"
+            load_error = _error_text(exc)
         # each level's training labels (or draw error), shared by every method
         labels = []
         for lvl_idx, level in enumerate(levels if methods and load_error is None else ()):
@@ -515,7 +507,7 @@ def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
             try:
                 labels.append(train_labels(folds, contamination, (ds_idx, lvl_idx)))
             except Exception as exc:
-                labels.append({"error": f"{type(exc).__name__}: {exc}"})
+                labels.append({"error": _error_text(exc)})
         drawn = [y for y in labels if not isinstance(y, dict)]
         for method in methods:
             if ds is not None and isinstance(method, RelfMethod):
@@ -560,7 +552,7 @@ def _cv_cells(folds: CvFolds, method, labels) -> list[dict]:
     except Exception as exc:
         if len(labels) > 1:
             return [cell for y in labels for cell in _cv_cells(folds, method, [y])]
-        return [{"error": f"{type(exc).__name__}: {exc}"}]
+        return [{"error": _error_text(exc)}]
     seconds = (time.perf_counter() - t0) / len(labels)
     return [dict(mae=res.mean_mae, rmse=res.mean_rmse, mae_std=res.std_mae,
                  rmse_std=res.std_rmse, fold_mae=res.fold_mae.tolist(),
@@ -582,5 +574,5 @@ def _convergence_report(ds: Dataset, method: RelfMethod, name: str,
             converged=trace.converged, decrease_ratio=decrease_ratio(trace), seconds=seconds,
             error=None)
     except Exception as exc:
-        report["error"] = f"{type(exc).__name__}: {exc}"
+        report["error"] = _error_text(exc)
     return report

@@ -211,7 +211,7 @@ def per_fold_cross_validate(ds, method, cv=None, *, contamination=None,
 
     from relf.data import add_intercept, apply_scaler, fit_scaler, inject_outliers
     from relf.data import FoldStack
-    from relf.evaluation import CvConfig, RelfMethod, derive_seed, kfold_split, ols_fit
+    from relf.evaluation import CvConfig, RelfMethod, derive_seed, kfold_split
     from relf.solver import fit
 
     fold_mae, fold_rmse = [], []
@@ -229,7 +229,7 @@ def per_fold_cross_validate(ds, method, cv=None, *, contamination=None,
         if isinstance(method, RelfMethod):
             w = fit(train, method.ensemble, method.config).w
         else:
-            w = ols_fit(FoldStack.of(train), method.ridge_alpha)[0]
+            w = method.fold_weights(FoldStack.of(train))[0]
         err = test.y - test.X @ w
         fold_mae.append(np.mean(np.abs(err)))
         fold_rmse.append(np.sqrt(np.mean(err ** 2)))

@@ -299,6 +299,35 @@ class TestPredictCommand:
                        if line.startswith(("mae:", "rmse:")))
         assert 0.99e308 < float(metrics["mae"]) <= float(metrics["rmse"]) <= 1e308
 
+    @pytest.mark.parametrize("flags", [[], ["--scale"], ["--no-intercept"]])
+    def test_libsvm_omitted_trailing_columns_are_zeros(self, tmp_path, capsys, flags):
+        # the test file's largest index is 2, the model's width 3: each
+        # prediction is that of the rows written with explicit "3:0" entries
+        train = tmp_path / "train.svm"
+        train.write_text("1 1:1 2:3 3:1\n2 1:2 2:1 3:2\n3 1:3 2:2 3:3\n4 1:4 2:5\n")
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--data", str(train), "--format", "libsvm", *flags,
+                     "--output", str(model_path)]) == 0
+        outputs = []
+        for name, text in (("short.svm", "1.5 1:1 2:2\n2.5 1:2\n"),
+                           ("explicit.svm", "1.5 1:1 2:2 3:0\n2.5 1:2 3:0\n")):
+            (tmp_path / name).write_text(text)
+            capsys.readouterr()
+            pred_path = tmp_path / f"{name}.csv"
+            code = main(["predict", "--model", str(model_path), "--data", str(tmp_path / name),
+                         "--format", "libsvm", "--output", str(pred_path)])
+            out = capsys.readouterr().out
+            assert code == 0, out
+            outputs.append(([line for line in out.splitlines() if line.startswith(("mae", "rmse"))],
+                            pred_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+        # a file wider than the model still fails
+        (tmp_path / "wide.svm").write_text("1 1:1 4:2\n")
+        code = main(["predict", "--model", str(model_path), "--data", str(tmp_path / "wide.svm"),
+                     "--format", "libsvm"])
+        assert code == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_label_free_csv(self, tmp_path, capsys):
         _, model_path = self._fit_model(tmp_path, capsys)
         feats = tmp_path / "xonly.csv"

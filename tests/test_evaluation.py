@@ -35,7 +35,6 @@ from relf import (
     fit,
     increase_ratio,
     kfold_split,
-    ols_fit,
     parse_ensemble,
     parse_method,
     run_benchmark,
@@ -155,23 +154,22 @@ class TestKfold:
 class TestOls:
     def test_exact_line(self):
         stack = FoldStack.of(Dataset(X=[[1.0], [2.0]], y=[2.0, 4.0]))
-        assert_allclose(ols_fit(stack), [[2.0]], rtol=1e-9)
+        assert_allclose(LeastSquaresMethod(0.0).fold_weights(stack), [[2.0]], rtol=1e-9)
 
     def test_large_ridge_shrinks(self):
         stack = FoldStack.of(Dataset(X=[[1.0], [2.0]], y=[2.0, 4.0]))
-        assert abs(ols_fit(stack, ridge_alpha=1e12)[0, 0]) < 1e-9
+        assert abs(LeastSquaresMethod(1e12).fold_weights(stack)[0, 0]) < 1e-9
 
     def test_outlier_pull_matches_oracle(self):
         ds = Dataset(X=[[1.0], [2.0], [3.0]], y=[1.0, 2.0, 10.0])
-        w = ols_fit(FoldStack.of(ds), ridge_alpha=1e-12)[0]
+        w = LeastSquaresMethod(1e-12).fold_weights(FoldStack.of(ds))[0]
         assert_allclose(w, ols_oracle(ds.X, ds.y), rtol=1e-9)
         assert_allclose(w[0], 35.0 / 14.0, rtol=1e-9)  # sum(xy)/sum(x^2)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -1.0])
     def test_refuses_what_ridge_refuses(self, alpha):
-        stack = FoldStack.of(Dataset(X=[[1.0], [2.0]], y=[2.0, 4.0]))
         with pytest.raises(DataError, match=re.escape(f"ridge_alpha must be >= 0, got {alpha!r}")):
-            ols_fit(stack, alpha)
+            LeastSquaresMethod(alpha)
 
 
 class TestIncreaseRatio:
@@ -414,7 +412,7 @@ class TestStackedCrossValidate:
             ds = Dataset(X=rng.uniform(-5.0, 5.0, size=(3, 3)), y=rng.standard_normal(3))
             folds = cv_folds(ds, CvConfig(folds=2, shuffle=False), scale_features=False)
             (res,) = cross_validate(folds, m)
-            w, test = m.fold_weights(folds.train, [folds.train.y])[0], folds.test
+            w, test = m.fold_weights(folds.train), folds.test
             for j, count in enumerate(test.counts):
                 mae, rmse = error_metrics(test.y[j, :count] - test.X[j, :count] @ w[j])
                 assert (res.fold_mae[j], res.fold_rmse[j]) == (mae, rmse), (seed, j)
@@ -436,10 +434,47 @@ class TestStackedCrossValidate:
             assert np.array_equal(res.fold_mae, alone.fold_mae)
             assert np.array_equal(res.fold_rmse, alone.fold_rmse)
         train = folds.train
-        tall = FoldStack(np.concatenate([train.X] * 3), np.concatenate(labels),
-                         np.tile(train.counts, 3))
-        assert np.array_equal(m.fold_weights(train, labels).reshape(3 * train.k, -1),
-                              ols_fit(tall, m.ridge_alpha))
+        y, counts = np.concatenate(labels), np.tile(train.counts, 3)
+        tall = FoldStack(np.concatenate([train.X] * 3), y, counts)
+        assert np.array_equal(m.fold_weights(FoldStack(train.X, y, counts)),
+                              LeastSquaresMethod(m.ridge_alpha).fold_weights(tall))
+
+    @given(method=st.sampled_from(("ols", "ridge:0.5", "ridge:30", "relf", "irls:huber:0.5",
+                                   "irls:welsch")),
+           levels=st.lists(st.sampled_from(_LEVELS), min_size=1, max_size=3),
+           n_folds=st.integers(2, 6), per_fold=st.integers(1, 8), extra=st.integers(0, 4),
+           d=st.integers(1, 4), seed=st.integers(0, 2**16))
+    @example(method="ols", levels=[0.0, 0.25, 0.5], n_folds=4, per_fold=5, extra=2, d=3,
+             seed=11)
+    @example(method="ridge:0.5", levels=[0.0, 0.25, 0.5], n_folds=4, per_fold=5, extra=2, d=3,
+             seed=11)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_levels_share_one_fold_stack(self, method, levels, n_folds, per_fold, extra, d,
+                                         seed):
+        # n is not a multiple of the fold count, so some training folds are
+        # padded; L label stacks over the k fold designs give the bits of L
+        # one-level calls, and of the method on the (L*k)-design stack that
+        # repeats each fold's X
+        n = n_folds * per_fold + 1 + extra % (n_folds - 1)
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, size=(n, d))
+        ds = Dataset(X=X, y=X @ rng.standard_normal(d) + 0.1 * rng.standard_normal(n))
+        folds, m = cv_folds(ds, CvConfig(folds=n_folds, seed=seed)), parse_method(method)
+        labels = [train_labels(folds, None if level == 0 else NoiseConfig(
+            mode=NOISE_OUTLIER, outlier_fraction=level, seed=seed), (0, i))
+            for i, level in enumerate(levels)]
+        stacked = cross_validate(folds, m, labels)
+        for res, y in zip(stacked, labels):
+            (alone,) = cross_validate(folds, m, [y])
+            assert np.array_equal(res.fold_mae, alone.fold_mae)
+            assert np.array_equal(res.fold_rmse, alone.fold_rmse)
+        train, L = folds.train, len(labels)
+        y, counts = np.concatenate(labels), np.tile(train.counts, L)
+        shared = m.fold_weights(FoldStack(train.X, y, counts))
+        copied = m.fold_weights(FoldStack(np.concatenate([train.X] * L), y, counts))
+        assert shared.shape == (L * train.k, train.d)
+        assert np.array_equal(shared, copied)
 
     def test_failing_inputs_raise_the_oracles_error(self):
         ds = synth_line()
