@@ -56,10 +56,9 @@ model = replace(fit(preprocessing.apply(from_csv), parse_ensemble("welsch:1.5,l1
 model_path = work / "model.json"
 save_model(model, model_path)
 back = load_model(model_path)
-X = back.preprocessing.apply(from_csv).X  # the stored intercept, applied
 print(f"model:  w = {np.round(back.w, 4)}, "
       f"lambda = {np.round(back.loss_weights, 4)}")
-mae, _ = error_metrics(from_csv.y - predict(back, X))
+mae, _ = error_metrics(from_csv.y - predict(back, from_csv))  # the stored intercept, applied
 print(f"        reload mae {mae:.4f} "
       f"(same as before save: "
       f"{np.array_equal(back.w, model.w)})")

@@ -146,7 +146,7 @@ def cmd_predict(args) -> int:
     if args.format == "libsvm" and ds.d < width:  # omitted trailing entries are zeros
         ds = Dataset(X=np.pad(ds.X, [(0, 0), (0, width - ds.d)]), y=y)
 
-    yhat = predict(model, model.preprocessing.apply(ds, in_place=True).X)
+    yhat = predict(model, ds)
     if y is not None:
         mae, rmse = error_metrics(y - yhat)
         print(f"mae: {mae:.6f}")

@@ -190,7 +190,8 @@ class Preprocessing:
     """A model's feature map: min-max scaling by ``scaler`` (if not None),
     then an intercept column (if ``intercept``); by default the identity.
     :meth:`write` is the one code that maps dataset rows to a design: for
-    a whole dataset (:meth:`apply`) and for each cross-validation fold."""
+    a whole dataset (:meth:`apply`), for each cross-validation fold and
+    for each row block that :func:`solver.predict` multiplies by ``w``."""
 
     scaler: ScalerState | None = None
     intercept: bool = False
@@ -209,7 +210,7 @@ class Preprocessing:
         with an intercept, over the table whose last elements ``ds.X`` is,
         as :func:`load_csv` leaves it; a new array is made only where there
         is no such room.  ``ds`` must not be used afterwards: this is for a
-        caller that drops it, as ``relf fit`` and ``relf predict`` do."""
+        caller that drops it, as ``relf fit`` does."""
         if self.scaler is None and not self.intercept:
             return ds
         out = _design_over(ds.X, ds.d + self.intercept) if in_place else None
@@ -244,7 +245,7 @@ class Preprocessing:
         n = ds.n if rows is None else len(rows)
         if out is None:
             out = np.empty((n, d + self.intercept))
-        step = _block_rows(d)
+        step = block_rows(d)
         scratch = np.empty((min(step, n), d)) if self.scaler is not None else None
         for start in range(0, n, step):
             block = ds.X[start:start + step] if rows is None else ds.X[rows[start:start + step]]
@@ -393,12 +394,13 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
 _NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
 _SCAN_CHUNK = 1 << 20  # bytes read at a time by the scan
 
-# elements of a row block that load_csv and Preprocessing.write work through at a time
+# elements of a row block that the row-block loops work through at a time
 _BLOCK_ELEMS = 2**14
 
 
-def _block_rows(width: int) -> int:
-    return max(_BLOCK_ELEMS // max(width, 1), 1)
+def block_rows(width: int) -> int:
+    # a multiple of 8: matmul takes rows by 4s, so blocks keep a product's bits
+    return max(_BLOCK_ELEMS // max(width, 1) // 8 * 8, 8)
 
 
 def _holds_any(fh, chars: bytes) -> bool:
@@ -506,7 +508,7 @@ def _split_label(table: np.ndarray, header, label_column) -> Dataset:
         h for j, h in enumerate(header) if j != label_idx)
     y = table[:, label_idx].copy()
     X = table.reshape(-1)[n:].reshape(n, width - 1)
-    rows = _block_rows(width)
+    rows = block_rows(width)
     # row i moves from element i * width to n + i * (width - 1), never
     # below: a block goes before the ones beneath it, which it may overlap
     for start in reversed(range(0, n, rows)):

@@ -273,6 +273,7 @@ def cross_validate(folds: CvFolds, method, labels=None) -> list[CvResult]:
     """k-fold evaluation of one method, one :class:`CvResult` per entry of
     ``labels``: (k, rows) training labels, one stack per contamination
     level (see :func:`train_labels`); by default the clean labels alone.
+    An empty ``labels`` gives an empty list, and fits nothing.
 
     Test folds are never touched, and the fold split is the same for every
     level, so clean/contaminated runs compare like for like.  The L levels
@@ -283,6 +284,8 @@ def cross_validate(folds: CvFolds, method, labels=None) -> list[CvResult]:
     orders the fit errors.
     """
     labels = [folds.train.y] if labels is None else list(labels)
+    if not labels:
+        return []
     train, test = folds.train, folds.test
     stack = FoldStack(train.X, np.concatenate(labels), np.tile(train.counts, len(labels)))
     w = method.fold_weights(stack).reshape(len(labels), train.k, train.d)

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import linalg
-from .data import Dataset, FoldStack, Preprocessing, json_dataclass, load_json
+from .data import Dataset, FoldStack, Preprocessing, block_rows, json_dataclass, load_json
 from .exceptions import (
     DimensionMismatchError,
     EnsembleError,
@@ -314,13 +314,28 @@ def fit_folds(stack: FoldStack, ensemble: EnsembleSpec,
     return models
 
 
-def predict(model: RelfModel, X) -> np.ndarray:
-    """``X @ w`` with a width check."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.w.shape[0]:
+def predict(model: RelfModel, ds: Dataset) -> np.ndarray:
+    """``model``'s predictions for the raw features ``ds``: its design under
+    ``model.preprocessing`` times ``w``, written a row block at a time into
+    one buffer (:meth:`Preprocessing.write`), so no design is made.  Blocks
+    of a multiple of 8 rows keep the whole product's bits with one BLAS
+    thread.  Raises :meth:`Preprocessing.write`'s errors, then
+    :class:`DimensionMismatchError` for a design other than ``w`` wide."""
+    pre, w = model.preprocessing, model.w
+    width = pre.write(ds, rows=[]).shape[1]  # write's own errors come first
+    if width != w.shape[0]:
         raise DimensionMismatchError(
-            f"X has shape {X.shape}, model expects {model.w.shape[0]} columns")
-    return X @ model.w
+            f"X has shape {(ds.n, width)}, model expects {w.shape[0]} columns")
+    step = block_rows(width)
+    # a lone last row would be a dot product, with other bits: the block
+    # before it takes it in
+    bounds = [*range(0, max(ds.n - 1, 1), step), ds.n]
+    buf = np.empty((min(step + 1, ds.n), width))
+    yhat = np.empty(ds.n)
+    for start, stop in zip(bounds, bounds[1:]):
+        np.matmul(pre.write(ds, np.arange(start, stop), out=buf[:stop - start]), w,
+                  out=yhat[start:stop])
+    return yhat
 
 
 def decrease_ratio(trace: SolverTrace) -> float | None:

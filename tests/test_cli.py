@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from relf import NoiseConfig, load_csv, load_model, predict, synth_line
+from relf import NoiseConfig, load_csv, load_model, synth_line
 from relf.cli import EXIT_SOLVER, main
 from relf.data import NOISE_GAUSSIAN
 
@@ -273,8 +273,7 @@ class TestPredictCommand:
             "overflows the float range\n"))
 
     def test_labelled_value_scaled_past_the_float_range(self, tmp_path, capsys):
-        # the design is written over the loaded table, yet the error names
-        # the value as it was read
+        # the error names the value as it was read
         assert self._predict_far(tmp_path, capsys, "y,x\n1,0\n2,1e10\n3,0\n",
                                  "--label-column", "y") == (1, (
             "error: scaling 10000000000.0 by the training range [0.0, 1e-300] "
@@ -364,7 +363,7 @@ class TestPredictCommand:
         assert main(argv) == 0
         capsys.readouterr()
         model = load_model(model_path)
-        yhat = predict(model, np.hstack([ds.X, np.ones((ds.n, 1))]))
+        yhat = np.hstack([ds.X, np.ones((ds.n, 1))]) @ model.w
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(["prediction"] + (["label"] if with_labels else []))

@@ -68,6 +68,10 @@ def test_this_checkout_against_itself(tmp_path, tool):
             "predictions.csv", "fit-mid.stdout", "predict-mid.stdout", "model-mid.json",
             "predictions-mid.csv", "bench/report.csv", "bench/report.json",
             "fit-tall.bits"} <= verdicts.keys()
+    # a label-free predict, and an unscaled intercept model's fit and predict
+    assert {"predict-unlabelled.stdout", "predictions-unlabelled.csv", "fit-unscaled.stdout",
+            "model-unscaled.json", "predict-unscaled.stdout",
+            "predictions-unscaled.csv"} <= verdicts.keys()
     # the grid again with each preprocessing flag off
     assert {f"bench-{name}{output}" for name in ("unscaled", "no-intercept")
             for output in (".stdout", "/report.csv", "/report.json")} <= verdicts.keys()
@@ -79,6 +83,7 @@ def test_this_checkout_against_itself(tmp_path, tool):
     # 1 and one "error:" line, or 3 and a failed benchmark cell
     expected = {f"errors/{name}": code for name, code, _ in tool.ERROR_CASES}
     assert expected.keys() <= verdicts.keys()
+    assert "errors/csv-narrower-than-model" in expected
     for side in ("old", "new"):
         captured = tmp_path / "run" / side / "captured"
         for path in captured.rglob("*"):

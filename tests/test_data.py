@@ -443,13 +443,18 @@ class TestLoadCsvMemory:
         assert ds.X.shape == (20_000, 20)
         assert held <= 1.1 * (ds.X.nbytes + ds.y.nbytes)
 
-    @pytest.mark.parametrize("command", ["fit", "predict"])
+    @pytest.mark.parametrize("command", ["fit", "predict", "predict-unlabelled"])
     def test_cli_holds_one_table(self, big_csv, tmp_path, command):
         model, preds = tmp_path / "model.json", tmp_path / "p.csv"
+        features = tmp_path / "features.csv"  # big_csv without its label column
+        features.write_text("".join(line.rpartition(",")[0] + "\n"
+                                    for line in big_csv.read_text().splitlines()))
         argv = {"fit": ["fit", "--data", str(big_csv), "--label-column", "y", "--scale",
                         "--output", str(model)],
                 "predict": ["predict", "--model", str(model), "--data", str(big_csv),
-                            "--label-column", "y", "--output", str(preds)]}
+                            "--label-column", "y", "--output", str(preds)],
+                "predict-unlabelled": ["predict", "--model", str(model), "--data",
+                                       str(features), "--output", str(preds)]}
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv["fit"]) == 0  # a model, and one-time imports untraced
             tracemalloc.start()
@@ -460,10 +465,12 @@ class TestLoadCsvMemory:
                 tracemalloc.stop()
         design = 20_000 * 21 * 8  # 20 scaled features and the intercept
         # the table, its label column and the per-row arrays: predict's are
-        # y and the predictions; the solver's, about eight arrays of n floats,
-        # are 0.4 design at 21 columns (the whole file and two design-sized
-        # copies were held at once before, a peak of 2.45 designs)
-        assert peak <= {"fit": 1.6, "predict": 1.3}[command] * design
+        # y (zeros without a label column) and the predictions, as it maps
+        # a row block at a time; the solver's, about eight arrays of n
+        # floats, are 0.4 design at 21 columns (the whole file and two
+        # design-sized copies were held at once before, a peak of 2.45
+        # designs; a label-free predict held two designs, 2.14)
+        assert peak <= {"fit": 1.6, "predict": 1.3, "predict-unlabelled": 1.3}[command] * design
 
     def test_apply_writes_one_design(self, big_csv):
         tracemalloc.start()

@@ -417,6 +417,13 @@ class TestStackedCrossValidate:
                 mae, rmse = error_metrics(test.y[j, :count] - test.X[j, :count] @ w[j])
                 assert (res.fold_mae[j], res.fold_rmse[j]) == (mae, rmse), (seed, j)
 
+    @pytest.mark.parametrize("method", ["ols", "relf"])
+    def test_no_label_stacks_give_no_results(self, method):
+        ds = Dataset(X=np.arange(12.0).reshape(6, 2), y=np.arange(6.0))
+        folds, m = cv_folds(ds, CvConfig(folds=3)), parse_method(method)
+        assert cross_validate(folds, m, []) == []
+        assert cross_validate(folds, m, iter([])) == []
+
     @pytest.mark.parametrize("method", ["ols", "ridge:0.5"])
     def test_least_squares_levels_share_one_gram(self, method):
         # 23 rows in 4 folds: training folds of 17 and 18 rows, one padded;

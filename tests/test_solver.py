@@ -1,13 +1,18 @@
 import itertools
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -35,8 +40,9 @@ from relf import (
     update_p,
     update_w,
 )
-from relf.data import NOISE_GAUSSIAN
+from relf.data import NOISE_GAUSSIAN, block_rows
 from relf.exceptions import (
+    DataError,
     DimensionMismatchError,
     NonFiniteObjectiveError,
     RelfError,
@@ -691,25 +697,79 @@ class TestRiskTraceProperty:
         assert np.all(np.diff(J) <= 1e-10 * np.maximum(1.0, np.abs(J[:-1])))
 
 
+def _model(w, preprocessing=Preprocessing()):
+    return RelfModel(w=np.asarray(w, dtype=float), loss_weights=np.array([1.0]),
+                     ensemble=EnsembleSpec((LossSpec("l1l2"),)), preprocessing=preprocessing)
+
+
+def _features(X, has_intercept=False):
+    """A label-free dataset of the raw features ``X``."""
+    X = np.asarray(X, dtype=float)
+    return Dataset(X=X, y=np.zeros(len(X)), has_intercept=has_intercept)
+
+
+@given(d=st.integers(1, 60), scale=st.booleans(), intercept=st.booleans(),
+       blocks=st.integers(0, 3), offset=st.integers(-9, 300), seed=st.integers(0, 2**16))
+@example(d=41, scale=True, intercept=True, blocks=2, offset=5, seed=0)
+@example(d=100, scale=False, intercept=False, blocks=1, offset=1, seed=1)
+@example(d=40, scale=True, intercept=True, blocks=0, offset=7, seed=2)
+@settings(max_examples=200, deadline=None, database=None)
+def check_predict_bits(d, scale, intercept, blocks, offset, seed):
+    """``predict`` has the bits of the whole design's product, for ``n`` on
+    both sides of each block boundary (``blocks`` whole blocks and
+    ``offset`` rows), fewer than 8 rows too.  Run with one BLAS thread:
+    a threaded product splits its rows at other places."""
+    n = max(blocks * block_rows(d + intercept) + offset, 1)
+    rng = np.random.default_rng(seed)
+    ds = _features(rng.uniform(-50.0, 50.0, size=(n, d)))
+    pre = Preprocessing.fit(ds, scale, intercept)
+    w = rng.standard_normal(d + intercept)
+    assert predict(_model(w, pre), ds).tobytes() == (pre.apply(ds).X @ w).tobytes()
+
+
 class TestPredict:
     def test_examples(self):
-        model = RelfModel(w=np.array([2.0]), loss_weights=np.array([1.0]),
-                          ensemble=EnsembleSpec((LossSpec("l1l2"),)))
-        assert predict(model, [[5.0]])[0] == 10.0
-        model2 = RelfModel(w=np.array([1.0, -1.0]), loss_weights=np.array([1.0]),
-                           ensemble=EnsembleSpec((LossSpec("l1l2"),)))
-        assert predict(model2, [[3.0, 3.0]])[0] == 0.0
+        assert predict(_model([2.0]), _features([[5.0]]))[0] == 10.0
+        assert predict(_model([1.0, -1.0]), _features([[3.0, 3.0]]))[0] == 0.0
 
     def test_zero_weights(self):
-        model = RelfModel(w=np.zeros(2), loss_weights=np.array([1.0]),
-                          ensemble=EnsembleSpec((LossSpec("l1l2"),)))
-        assert_allclose(predict(model, np.ones((4, 2))), np.zeros(4))
+        assert_allclose(predict(_model(np.zeros(2)), _features(np.ones((4, 2)))), np.zeros(4))
+
+    def test_applies_the_models_own_map(self):
+        # 0, 2 and 4 scale to -1, 0 and 1 on [0, 4]; then the intercept
+        pre = Preprocessing(ScalerState(np.array([0.0]), np.array([4.0])), intercept=True)
+        yhat = predict(_model([2.0, 1.0], pre), _features([[0.0], [2.0], [4.0]]))
+        assert yhat.tolist() == [-1.0, 1.0, 3.0]
+
+    def test_has_the_bits_of_the_whole_product(self, tmp_path):
+        tests = Path(__file__).resolve().parent
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+                   [str(tests.parent / "src"), str(tests)])}
+        proc = subprocess.run([sys.executable, "-c", "import test_solver as t; "
+                               "t.check_predict_bits()"], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+
+    # a model whose design the dataset misses in every way at once: the
+    # scaler's width, a second intercept and the design's width
+    def test_scaler_width_error_comes_first(self):
+        pre = Preprocessing(ScalerState(np.zeros(2), np.ones(2)), intercept=True)
+        with pytest.raises(DimensionMismatchError,
+                           match="^scaler fitted for 2 columns, dataset has 3$"):
+            predict(_model(np.ones(5), pre), _features([[1.0, 2.0, 3.0]], has_intercept=True))
+
+    def test_second_intercept_error_comes_next(self):
+        with pytest.raises(DataError, match="^dataset already has an intercept column$"):
+            predict(_model(np.ones(5), Preprocessing(intercept=True)),
+                    _features([[1.0, 2.0, 3.0]], has_intercept=True))
 
     def test_width_guard(self):
-        model = RelfModel(w=np.array([2.0]), loss_weights=np.array([1.0]),
-                          ensemble=EnsembleSpec((LossSpec("l1l2"),)))
-        with pytest.raises(DimensionMismatchError):
-            predict(model, [[1.0, 2.0]])
+        for intercept in (False, True):
+            with pytest.raises(DimensionMismatchError, match=re.escape(
+                    f"X has shape (4, {2 + intercept}), model expects 5 columns")):
+                predict(_model(np.ones(5), Preprocessing(intercept=intercept)),
+                        _features(np.ones((4, 2))))
 
 
 def _three_index_ratio(trace, early=10, final=30):

@@ -8,7 +8,9 @@ thread, on inputs generated once here from fixed seeds:
 
 * ``relf toy`` (gaussian and outlier noise), ``relf fit --scale`` and
   ``relf predict`` on a generated CSV pair and on the same pair with the
-  label as a middle column, and ``relf bench`` on a small
+  label as a middle column, a label-free ``relf predict`` on the test
+  features alone, ``relf fit`` and ``relf predict`` of an unscaled
+  intercept model, and ``relf bench`` on a small
   generated manifest of a CSV, a libsvm and a synthetic set, as it is and
   with ``scale_features`` or ``intercept`` off (:data:`BENCH_VARIANTS`):
   their stdout, ``model*.json``, ``predictions*.csv``, ``report.csv`` and
@@ -113,9 +115,13 @@ ERROR_CASES = (
     # a scale whose s^2 overflows: welsch's weight would read 0 everywhere
     ("welsch-scale-1e200", 1, ["toy", "--ensemble", "welsch:1e200"]),
     # a labelled feature that scales past the float range: the error names
-    # the value read, though the design is written over the loaded table
+    # the value read
     ("scaled-past-float-range", 1,
      ["predict", "--model", "{in}/model-narrow.json", "--data", "{in}/far.csv",
+      "--label-column", "y"]),
+    # two features for a model of six and an intercept
+    ("csv-narrower-than-model", 1,
+     ["predict", "--model", "{in}/model-six-features.json", "--data", "{in}/narrow.csv",
       "--label-column", "y"]),
 )
 
@@ -153,6 +159,9 @@ def make_inputs(root: Path, csv_rows: int) -> None:
     X, y = _linear_rows(rng, csv_rows + csv_rows // 4, 6, 0.1)
     _write_csv(root / "train.csv", X[:csv_rows], y[:csv_rows])
     _write_csv(root / "test.csv", X[csv_rows:], y[csv_rows:])
+    # the test features alone: test.csv without its last column, the label
+    (root / "test-features.csv").write_text("".join(
+        line.rpartition(",")[0] + "\n" for line in (root / "test.csv").read_text().splitlines()))
     # the label mid-row: load_csv moves the features after it
     _write_csv(root / "train-mid.csv", X[:csv_rows], y[:csv_rows], label_at=3)
     _write_csv(root / "test-mid.csv", X[csv_rows:], y[csv_rows:], label_at=3)
@@ -202,8 +211,8 @@ def make_inputs(root: Path, csv_rows: int) -> None:
         (root / f"{name}.json").write_text(json.dumps({**too_many, "cv": {}, **bad}) + "\n")
     (root / "negative-ridge.json").write_text(
         json.dumps({**too_many, "cv": {}, "methods": ["ridge:-1"]}) + "\n")
-    # a model of the CSV pair's six features and an intercept, each file
-    # with one flaw
+    # a model of the CSV pair's six features and an intercept, as it is
+    # and in files with one flaw each
     model = {"schema": "relf.model/1", "w": [0.5] * 7, "loss_weights": [0.25, 0.75],
              "ensemble": [{"kind": "welsch", "scale": 1.5}, {"kind": "l1l2", "scale": 1.0}],
              "config": {"alpha": 1e-8, "init": "zeros", "init_seed": 0, "init_std": 1.0,
@@ -211,6 +220,8 @@ def make_inputs(root: Path, csv_rows: int) -> None:
              "trace": {"risks": [2.0, 1.0], "max_steps": [0.5, 0.25], "iterations": 2,
                        "converged": True},
              "preprocessing": {"intercept": True, "scaler": None}}
+    (root / "model-six-features.json").write_text(json.dumps(model, indent=2) + "\n")
+    (root / "narrow.csv").write_text("x0,x1,y\n1,2,3\n4,5,6\n")
     for name, bad in (("model-missing-key", {k: v for k, v in model.items() if k != "config"}),
                       ("model-unknown-key", {**model, "weights": [1.0]}),
                       ("model-off-simplex-weights", {**model, "loss_weights": [0.5, 0.75]}),
@@ -267,6 +278,12 @@ def run_side(checkout: Path, bench_dir: Path, inputs: Path, work: Path,
          "--scale", "--output", "model-mid.json")
     relf("predict-mid.stdout", "predict", "--model", "model-mid.json", "--data",
          f"{data}/test-mid.csv", "--label-column", "y", "--output", "predictions-mid.csv")
+    relf("predict-unlabelled.stdout", "predict", "--model", "model.json", "--data",
+         f"{data}/test-features.csv", "--output", "predictions-unlabelled.csv")
+    relf("fit-unscaled.stdout", "fit", "--data", f"{data}/train.csv", "--label-column", "y",
+         "--output", "model-unscaled.json")
+    relf("predict-unscaled.stdout", "predict", "--model", "model-unscaled.json", "--data",
+         f"{data}/test.csv", "--label-column", "y", "--output", "predictions-unscaled.csv")
     shutil.copytree(inputs, work / "bench-inputs")
     benches = {"bench": "manifest", **{f"bench-{name}": f"manifest-{name}"
                                        for name in BENCH_VARIANTS}}
@@ -274,6 +291,7 @@ def run_side(checkout: Path, bench_dir: Path, inputs: Path, work: Path,
         relf(f"{bench}.stdout", "bench", "--manifest", f"bench-inputs/{manifest}.json",
              "--output-dir", bench)
     for name in ("model.json", "predictions.csv", "model-mid.json", "predictions-mid.csv",
+                 "predictions-unlabelled.csv", "model-unscaled.json", "predictions-unscaled.csv",
                  *(f"{bench}/report.{ext}" for bench in benches for ext in ("csv", "json"))):
         path = work / name
         outputs[name] = path.read_text() if path.is_file() else "<missing>\n"
