@@ -10,7 +10,6 @@ two contamination levels.
 """
 
 import tempfile
-from pathlib import Path
 
 from relf import run_benchmark
 
@@ -49,7 +48,7 @@ for conv in report.convergence:
           f"iters={conv['iterations']:<3} "
           f"decrease_ratio={conv['decrease_ratio']:.4f}")
 
-out_dir = Path(tempfile.mkdtemp(prefix="relf-bench-"))
-json_path, csv_path = report.write(out_dir)
-print()
-print(f"wrote {json_path} and {csv_path}; report ok = {report.ok}")
+with tempfile.TemporaryDirectory(prefix="relf-bench-") as out_dir:
+    json_path, csv_path = report.write(out_dir)
+    print()
+    print(f"wrote {json_path} and {csv_path}; report ok = {report.ok}")

@@ -78,16 +78,33 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
 
 
-def _load_dataset(path: str, fmt: str, label_column, has_header: bool) -> Dataset:
-    if fmt == "libsvm":
-        return load_libsvm(path)
-    if label_column is None:
-        raise RelfError("--label-column is required for csv data")
+def _add_data_flags(p: argparse.ArgumentParser, label_help: str) -> None:
+    p.add_argument("--data", required=True)
+    p.add_argument("--format", choices=["csv", "libsvm"], default="csv")
+    p.add_argument("--label-column", default=None, help=label_help)
+    p.add_argument("--no-header", action="store_true")
+
+
+def _data_echo(args) -> dict:
+    return {"data": args.data, "format": args.format,
+            "label_column": args.label_column, "has_header": not args.no_header,
+            "output": args.output}
+
+
+def _has_labels(args) -> bool:
+    # a csv read without --label-column is all features (load_csv's zero labels)
+    return args.format == "libsvm" or args.label_column is not None
+
+
+def _load_dataset(args) -> Dataset:
+    if args.format == "libsvm":
+        return load_libsvm(args.data)
+    label_column = args.label_column
     try:
         label_column = int(label_column)
     except (TypeError, ValueError):
-        pass  # treat as a header name
-    return load_csv(path, label_column, has_header=has_header)
+        pass  # a header name, or None
+    return load_csv(args.data, label_column, has_header=not args.no_header)
 
 
 def _print_model(model, feature_names=None) -> None:
@@ -105,14 +122,13 @@ def cmd_fit(args) -> int:
     config = _solver_config(args)
     ensemble = parse_ensemble(args.ensemble)
     _echo_config("fit", {
-        "data": args.data, "format": args.format,
-        "label_column": args.label_column, "has_header": not args.no_header,
+        **_data_echo(args),
         "ensemble": args.ensemble, "intercept": not args.no_intercept,
-        "scale": args.scale, "output": args.output,
-        "solver": asdict(config),
+        "scale": args.scale, "solver": asdict(config),
     })
-    ds = _load_dataset(args.data, args.format, args.label_column,
-                       has_header=not args.no_header)
+    if not _has_labels(args):
+        raise RelfError("--label-column is required for csv data")
+    ds = _load_dataset(args)
     print(f"loaded: {args.data} (n={ds.n}, d={ds.d})")
 
     preprocessing = Preprocessing.fit(ds, args.scale, not args.no_intercept)
@@ -127,21 +143,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _echo_config("predict", {
-        "model": args.model, "data": args.data, "format": args.format,
-        "label_column": args.label_column, "has_header": not args.no_header,
-        "output": args.output,
-    })
+    _echo_config("predict", {"model": args.model, **_data_echo(args)})
     model = load_model(args.model)
 
-    if args.format == "csv" and args.label_column is None:
-        # label-free csv: every column is a feature
-        ds = load_csv(args.data, None, has_header=not args.no_header)
-        y = None
-    else:
-        ds = _load_dataset(args.data, args.format, args.label_column,
-                           has_header=not args.no_header)
-        y = ds.y
+    ds = _load_dataset(args)
+    y = ds.y if _has_labels(args) else None
     width = len(model.w) - model.preprocessing.intercept
     if args.format == "libsvm" and ds.d < width:  # omitted trailing entries are zeros
         ds = Dataset(X=np.pad(ds.X, [(0, 0), (0, width - ds.d)]), y=y)
@@ -219,11 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit a model on a data file")
-    p_fit.add_argument("--data", required=True)
-    p_fit.add_argument("--format", choices=["csv", "libsvm"], default="csv")
-    p_fit.add_argument("--label-column", default=None,
-                       help="csv label column: header name or 0-based index")
-    p_fit.add_argument("--no-header", action="store_true")
+    _add_data_flags(p_fit, "csv label column: header name or 0-based index")
     p_fit.add_argument("--ensemble", default=DEFAULT_ENSEMBLE_TEXT,
                        help="loss list, e.g. welsch:1.5,l1l2,huber:0.5")
     p_fit.add_argument("--no-intercept", action="store_true")
@@ -235,11 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pred = sub.add_parser("predict", help="apply a saved model to new data")
     p_pred.add_argument("--model", required=True)
-    p_pred.add_argument("--data", required=True)
-    p_pred.add_argument("--format", choices=["csv", "libsvm"], default="csv")
-    p_pred.add_argument("--label-column", default=None,
-                        help="optional for csv; metrics printed when present")
-    p_pred.add_argument("--no-header", action="store_true")
+    _add_data_flags(p_pred, "optional for csv; metrics printed when present")
     p_pred.add_argument("--output", default=None, help="write predictions CSV here")
     p_pred.set_defaults(func=cmd_predict)
 

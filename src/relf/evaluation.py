@@ -447,14 +447,22 @@ class _DatasetEntry:
         if self.seed < 0:
             raise DataError(f"manifest dataset {self.name!r} 'seed' must be >= 0, "
                             f"got {self.seed!r}")
+        if self.format == "synthetic":
+            try:
+                self.noise()
+            except RelfError as exc:
+                raise DataError(f"manifest dataset {self.name!r} {exc}") from None
+
+    def noise(self) -> NoiseConfig:
+        return NoiseConfig(self.noise_mode, self.gaussian_std, self.outlier_fraction,
+                           self.outlier_magnitude, self.seed)
 
     def load(self, base: Path) -> Dataset:
         if self.format == "csv":
             return load_csv(base / self.path, self.label_column, self.has_header)
         if self.format == "libsvm":
             return load_libsvm(base / self.path)
-        return synth_line(NoiseConfig(self.noise_mode, self.gaussian_std, self.outlier_fraction,
-                                      self.outlier_magnitude, self.seed))
+        return synth_line(self.noise())
 
 
 def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
@@ -462,7 +470,9 @@ def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
 
     Each level of ``manifest`` is read by :func:`data.json_dataclass` over
     its defaults: a schema error (an unknown key, a wrong type, a missing
-    ``name``) stops the run before any cell.  Failures are then contained
+    ``name``) stops the run before any cell, as does a noise value that
+    :class:`NoiseConfig` refuses: ``outlier_magnitude``, or a synthetic
+    entry's noise keys.  Failures are then contained
     per dataset cell (recorded under ``error``); the rest of the grid still
     runs.  For each RELF-family method a full-data convergence report
     (final risk, iterations, decrease ratio) is produced on the clean
@@ -471,6 +481,8 @@ def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
     if not isinstance(manifest, dict):
         raise DataError("manifest must be a JSON object")
     top = json_dataclass(_Manifest, {**asdict(_Manifest()), **manifest}, "manifest")
+    outliers = NoiseConfig(NOISE_OUTLIER, outlier_magnitude=top.outlier_magnitude,
+                           seed=top.outlier_seed)
     entries = [_DatasetEntry.read(entry) for entry in top.datasets]
     for method in top.methods:
         if not isinstance(method, str):
@@ -483,6 +495,8 @@ def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
     solver_config = json_dataclass(SolverConfig, {**asdict(SolverConfig()), **top.solver},
                                    "manifest solver")
     levels = [float(v) for v in top.contamination_levels]
+    contaminations = [None if level == 0 else replace(outliers, outlier_fraction=level)
+                      for level in levels]
     methods = [parse_method(s, solver_config) for s in top.methods]
     # cells are looked up by (dataset, method, level), so each must be unique
     for what, keys in (("dataset", [entry.name for entry in entries]),
@@ -503,10 +517,8 @@ def run_benchmark(manifest: dict, base_dir=None) -> EvalReport:
             load_error = _error_text(exc)
         # each level's training labels (or draw error), shared by every method
         labels = []
-        for lvl_idx, level in enumerate(levels if methods and load_error is None else ()):
-            contamination = None if level == 0 else NoiseConfig(
-                mode=NOISE_OUTLIER, outlier_fraction=level,
-                outlier_magnitude=top.outlier_magnitude, seed=top.outlier_seed)
+        for lvl_idx, contamination in enumerate(
+                contaminations if methods and load_error is None else ()):
             try:
                 labels.append(train_labels(folds, contamination, (ds_idx, lvl_idx)))
             except Exception as exc:

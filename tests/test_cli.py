@@ -83,6 +83,16 @@ class TestFitCommand:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_csv_without_label_column(self, tmp_path, capsys):
+        # refused after the config echo and before any load: the file need not exist
+        code = main(["fit", "--data", str(tmp_path / "nope.csv")])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out.startswith("config: ") and out.count("\n") == 1
+        echo = json.loads(out[len("config: "):])
+        assert (echo["command"], echo["label_column"]) == ("fit", None)
+        assert err == "error: --label-column is required for csv data\n"
+
     def test_empty_ensemble(self, tmp_path, capsys):
         data = _write_toy_csv(tmp_path / "toy.csv")
         code = main(["fit", "--data", str(data), "--label-column", "y",
@@ -583,6 +593,18 @@ class TestBenchCommand:
          "error: ridge_alpha must be >= 0, got -1.0\n"),
         ({"datasets": [_LINE_ENTRY], "methods": ["ridge:inf"]},
          "error: ridge_alpha must be >= 0, got inf\n"),
+        # outlier_magnitude is checked before the grid, whether or not a
+        # dataset loads or a method is listed, and a synthetic entry's
+        # noise where it is read
+        ({"outlier_magnitude": -1, "datasets": [_CSV_ENTRY], "methods": ["ols"]},
+         "error: outlier_magnitude must be > 0, got -1\n"),
+        ({"outlier_magnitude": -1, "datasets": [_LINE_ENTRY], "methods": []},
+         "error: outlier_magnitude must be > 0, got -1\n"),
+        ({"datasets": [{**_LINE_ENTRY, "noise_mode": "foo"}], "methods": ["ols"]},
+         "error: manifest dataset 'line' noise mode must be one of ('gaussian', 'outlier'), "
+         "got 'foo'\n"),
+        ({"datasets": [{**_LINE_ENTRY, "gaussian_std": -1}]},
+         "error: manifest dataset 'line' gaussian_std must be >= 0, got -1\n"),
     ])
     def test_bench_malformed_manifest(self, tmp_path, capsys, manifest, message):
         path = tmp_path / "manifest.json"

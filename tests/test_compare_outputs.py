@@ -72,6 +72,8 @@ def test_this_checkout_against_itself(tmp_path, tool):
     assert {"predict-unlabelled.stdout", "predictions-unlabelled.csv", "fit-unscaled.stdout",
             "model-unscaled.json", "predict-unscaled.stdout",
             "predictions-unscaled.csv"} <= verdicts.keys()
+    # the help of the two commands that read data files
+    assert {"fit-help.stdout", "predict-help.stdout"} <= verdicts.keys()
     # the grid again with each preprocessing flag off
     assert {f"bench-{name}{output}" for name in ("unscaled", "no-intercept")
             for output in (".stdout", "/report.csv", "/report.json")} <= verdicts.keys()
@@ -83,7 +85,8 @@ def test_this_checkout_against_itself(tmp_path, tool):
     # 1 and one "error:" line, or 3 and a failed benchmark cell
     expected = {f"errors/{name}": code for name, code, _ in tool.ERROR_CASES}
     assert expected.keys() <= verdicts.keys()
-    assert "errors/csv-narrower-than-model" in expected
+    assert {"errors/csv-narrower-than-model",
+            "errors/fit-unlabelled-csv"} <= expected.keys()
     for side in ("old", "new"):
         captured = tmp_path / "run" / side / "captured"
         for path in captured.rglob("*"):

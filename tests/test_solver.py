@@ -346,6 +346,9 @@ class TestStackedSteps:
            losses=st.lists(st.sampled_from(_SPEC_POOL), min_size=1, max_size=4, unique=True),
            max_iters=st.integers(2, 25), rel_tol=st.sampled_from([0.0, 1e-9, 1e-7, 1e-5, 1e-3]),
            seed=st.integers(0, 2**32 - 1))
+    # fold 2's welsch weights all redescend: the stack fails as its lone fit does
+    @example(counts=[10, 30, 5], pad=0, levels=1, losses=[LossSpec("welsch", 0.5)],
+             max_iters=2, rel_tol=0.0, seed=0)
     @settings(max_examples=40, deadline=None)
     def test_frozen_folds_match_lone_fits(self, counts, pad, levels, losses,
                                           max_iters, rel_tol, seed):
@@ -354,7 +357,8 @@ class TestStackedSteps:
         # a fold may repeat its labels at the next level, so that two folds
         # converge together.  A frozen fold holds the residual of its final
         # P, which the loop reads once at the end, so each fold gives a lone
-        # fit's numbers bit for bit
+        # fit's numbers bit for bit; a stack that fails raises the error of
+        # its first fold whose lone fit fails
         rng = np.random.default_rng(seed)
         rows, d = max(counts) + pad, 2
         X = np.zeros((len(counts), rows, d))
@@ -375,9 +379,20 @@ class TestStackedSteps:
         stack = FoldStack(X, y, np.tile(counts, levels))
         ens, config = EnsembleSpec(tuple(losses)), SolverConfig(max_iters=max_iters,
                                                                  rel_tol=rel_tol)
-        for i, model in enumerate(fit_folds(stack, ens, config)):
-            n = counts[i % len(counts)]
-            part = Dataset(X=X[i % len(counts), :n], y=y[i, :n])
+        parts = [Dataset(X=X[i % len(counts), :n], y=y[i, :n])
+                 for i, n in enumerate(np.tile(counts, levels))]
+        try:
+            models = fit_folds(stack, ens, config)
+        except RelfError as exc:
+            for part in parts:
+                try:
+                    fit(part, ens, config)
+                except RelfError as lone:
+                    assert type(lone) is type(exc)
+                    assert str(lone) == str(exc)
+                    return
+            pytest.fail(f"the stack raised {exc!r}, but every lone fit succeeds")
+        for model, part in zip(models, parts):
             w, risks, loss_weights = two_matvec_fit(part, ens, config)
             assert np.array_equal(model.w, w)
             assert np.array_equal(model.trace.risks, risks)

@@ -10,7 +10,8 @@ thread, on inputs generated once here from fixed seeds:
   ``relf predict`` on a generated CSV pair and on the same pair with the
   label as a middle column, a label-free ``relf predict`` on the test
   features alone, ``relf fit`` and ``relf predict`` of an unscaled
-  intercept model, and ``relf bench`` on a small
+  intercept model, ``relf fit --help`` and ``relf predict --help``, and
+  ``relf bench`` on a small
   generated manifest of a CSV, a libsvm and a synthetic set, as it is and
   with ``scale_features`` or ``intercept`` off (:data:`BENCH_VARIANTS`):
   their stdout, ``model*.json``, ``predictions*.csv``, ``report.csv`` and
@@ -78,6 +79,7 @@ BENCH_VARIANTS = {"unscaled": "scale_features", "no-intercept": "intercept"}
 # malformed inputs: (name, the exit status the run should end with, relf
 # arguments, in which "{in}" is the inputs directory)
 ERROR_CASES = (
+    ("fit-unlabelled-csv", 1, ["fit", "--data", "{in}/train.csv"]),
     ("ragged-csv", 1, ["fit", "--data", "{in}/ragged.csv", "--label-column", "y"]),
     ("wide-header-csv", 1, ["fit", "--data", "{in}/wide-header.csv", "--label-column", "y"]),
     ("empty-csv", 1, ["fit", "--data", "{in}/empty.csv", "--label-column", "y"]),
@@ -284,6 +286,8 @@ def run_side(checkout: Path, bench_dir: Path, inputs: Path, work: Path,
          "--output", "model-unscaled.json")
     relf("predict-unscaled.stdout", "predict", "--model", "model-unscaled.json", "--data",
          f"{data}/test.csv", "--label-column", "y", "--output", "predictions-unscaled.csv")
+    relf("fit-help.stdout", "fit", "--help")
+    relf("predict-help.stdout", "predict", "--help")
     shutil.copytree(inputs, work / "bench-inputs")
     benches = {"bench": "manifest", **{f"bench-{name}": f"manifest-{name}"
                                        for name in BENCH_VARIANTS}}
