@@ -312,7 +312,7 @@ def load_json(path, what: str):
         raise DataIOError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataIOError.undecodable(path, exc) from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep to decode
         raise RelfError(f"{what} is not valid JSON: {exc}") from exc
 
 
@@ -520,10 +520,10 @@ def load_libsvm(path) -> Dataset:
     """Load sparse ``label idx:val ...`` text; indices are 1-based.
 
     The feature count is the largest index seen; omitted entries are zero,
-    and of an index repeated on one line the last value counts.  A file in
-    the plain grammar of :data:`_LIBSVM_PLAIN` is parsed in bulk; any
-    other file token by token, which either accepts it too or names the
-    first bad token.
+    and of an index repeated on one line the last value counts.  The file
+    is read whole, so an undecodable byte is named before any token, then
+    parsed line by line, token by token, which names the first bad token.
+    A file too wide to hold as a dense array raises :class:`DataError`.
     """
     try:
         with open(path) as fh:
@@ -532,52 +532,19 @@ def load_libsvm(path) -> Dataset:
         raise DataIOError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataIOError.undecodable(path, exc) from None
-
-    import re  # json has loaded it: a local import keeps relf's import list as it is
-
-    parsed = _parse_libsvm_bulk(text) if re.fullmatch(_LIBSVM_PLAIN, text) else None
-    X, y = parsed if parsed is not None else _parse_libsvm_checked(text.split("\n"))
+    X, y = _parse_libsvm(text.split("\n"))
     if y.size == 0:
         raise DataError(f"{path} holds no data lines")
     return Dataset(X=X, y=y)
 
 
-# Lines of printable ASCII tokens separated by spaces or tabs: a label,
-# then ``idx:val`` pairs whose index is a positive decimal integer below
-# 2**53.  The labels and values are still read by float(), as the token
-# by token parse reads them.
-_LIBSVM_TOKEN = r"[!-9;-~]+"  # printable ASCII but ":"
-_LIBSVM_LINE = (rf"[ \t]*(?:{_LIBSVM_TOKEN}(?:[ \t]+[1-9][0-9]{{0,14}}:{_LIBSVM_TOKEN})*"
-                rf"[ \t]*)?")
-_LIBSVM_PLAIN = rf"(?:{_LIBSVM_LINE}\n)*{_LIBSVM_LINE}"
-
-
-def _parse_libsvm_bulk(text: str):
-    """``(X, y)`` of ``text`` in the plain grammar, or None if float()
-    refuses a label or value."""
-    pairs = np.array([line.count(":") for line in text.split("\n") if line.strip()],
-                     dtype=np.intp)
-    numbers = text.replace(":", " ").split()  # per line: label, idx, val, idx, val, ...
-    try:
-        values = np.fromiter(map(float, numbers), float, len(numbers))
-    except ValueError:
-        return None
-    is_label = np.zeros(values.size, dtype=bool)
-    is_label[np.cumsum(2 * pairs + 1) - (2 * pairs + 1)] = True
-    idx, val = values[~is_label].reshape(-1, 2).T
-    X = np.zeros((pairs.size, int(idx.max()) if idx.size else 0))
-    flat = np.repeat(np.arange(pairs.size) * X.shape[1] - 1, pairs) + idx.astype(np.intp)
-    last = flat.size - 1 - np.unique(flat[::-1], return_index=True)[1]
-    np.put(X, flat[last], val[last])  # the last value of a repeated index
-    return X, values[is_label]
-
-
-def _parse_libsvm_checked(lines):
+def _parse_libsvm(lines):
     """``(X, y)`` of ``lines`` parsed token by token, each line numbered
     from 1; the loader's token errors name the first bad token."""
     labels: list[float] = []
-    rows: list[dict[int, float]] = []
-    d = 0
+    counts: list[int] = []  # entries per line
+    cols: list[int] = []
+    vals: list[float] = []
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens:
@@ -604,14 +571,18 @@ def _parse_libsvm_checked(lines):
             except ValueError:
                 raise ParseError(f"bad feature value {val_text!r}",
                                  row=lineno, col=col) from None
-            d = max(d, idx)
-        rows.append(entries)
+        counts.append(len(entries))
+        cols.extend(entries)
+        vals.extend(entries.values())
 
-    X = np.zeros((len(rows), d))
-    for i, entries in enumerate(rows):
-        for idx, val in entries.items():
-            X[i, idx - 1] = val
-    return X, np.asarray(labels, dtype=float)
+    n, d = len(labels), max(cols, default=0)
+    try:
+        X = np.zeros((n, d))
+    except (MemoryError, ValueError):  # no room, or a shape past numpy's limits
+        raise DataError(f"a dense array of {n} rows by {d} features (the largest "
+                        f"index) is too large to hold") from None
+    X[np.repeat(np.arange(n), counts), np.array(cols, dtype=np.intp) - 1] = vals
+    return X, np.array(labels)
 
 
 def save_libsvm(ds: Dataset, path) -> None:

@@ -427,16 +427,17 @@ class _DatasetEntry:
     def read(cls, entry) -> "_DatasetEntry":
         """The manifest entry ``entry`` read over the defaults by
         :func:`data.json_dataclass`; a key that only another format takes
-        is refused too."""
+        is refused first, before any value is checked."""
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
             raise DataError("every dataset entry needs a 'name' string")
         where = f"manifest dataset {entry['name']!r}"
         defaults = {f.name: f.default for f in fields(cls)[2:]}  # all but name, format
-        parsed = json_dataclass(cls, {**defaults, **entry}, where)
-        other = sorted(set(entry) - {"name", "format", *_FORMAT_KEYS[parsed.format]})
-        if other:
-            raise DataError(f"{where} of format {parsed.format!r} takes no key {other[0]!r}")
-        return parsed
+        fmt = entry.get("format")
+        if isinstance(fmt, str) and fmt in _FORMAT_KEYS:
+            other = sorted(set(entry) & (defaults.keys() - _FORMAT_KEYS[fmt]))
+            if other:
+                raise DataError(f"{where} of format {fmt!r} takes no key {other[0]!r}")
+        return json_dataclass(cls, {**defaults, **entry}, where)
 
     def __post_init__(self):
         if self.format not in _FORMAT_KEYS:

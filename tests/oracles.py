@@ -114,6 +114,79 @@ def csv_rows_oracle(path, has_header: bool):
     return header, np.array([[float(cell) for cell in row] for row in rows])
 
 
+# elements of a dense array past which no 64-bit process can map it
+# (2**47 bytes of user address space hold 2**44 floats)
+_DENSE_LIMIT = 2**44
+
+
+def libsvm_oracle(path):
+    """A libsvm file read character by character: ``("ok", X, y)`` for a
+    file the loader accepts, else ``(error class name, row, col)``, where
+    ``row`` and ``col`` are a ``ParseError``'s 1-based token coordinates
+    and None for any other error.
+
+    Lines end at ``\\r\\n``, ``\\r`` or ``\\n``; tokens are the runs of
+    characters that are not ``str.isspace``.  A line is a label, then
+    ``idx:val`` tokens split at their first colon, checked left to right:
+    the label and the values are read by ``float()`` and the index by
+    ``int()``, and an index below 1 is a ``DataError``.  The first bad
+    token of the first line that has one is reported.  After that each of
+    these is a ``DataError``: a dense array of more than 2**44 floats, no
+    data lines, and a label or value that reads as NaN or infinity.  Of an
+    index repeated on a line the last value counts."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    lines, tokens, current, prev = [], [], "", ""
+    for char in text + "\n":
+        if not char.isspace():
+            current += char
+        else:
+            if current:
+                tokens.append(current)
+                current = ""
+            if char == "\r" or (char == "\n" and prev != "\r"):
+                lines.append(tokens)
+                tokens = []
+        prev = char
+    labels, rows = [], []
+    for row, tokens in enumerate(lines, start=1):
+        if not tokens:
+            continue
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            return "ParseError", row, 1
+        entries = []
+        for col, token in enumerate(tokens[1:], start=2):
+            if ":" not in token:
+                return "ParseError", row, col
+            colon = token.index(":")
+            try:
+                idx = int(token[:colon])
+            except ValueError:
+                return "ParseError", row, col
+            if idx < 1:
+                return "DataError", None, None
+            try:
+                entries.append((idx, float(token[colon + 1:])))
+            except ValueError:
+                return "ParseError", row, col
+        labels.append(label)
+        rows.append(entries)
+    width = max((idx for entries in rows for idx, _ in entries), default=0)
+    if len(rows) * width > _DENSE_LIMIT or not rows:
+        return "DataError", None, None
+    X = []
+    for entries in rows:
+        dense = [0.0] * width
+        for idx, value in entries:
+            dense[idx - 1] = value
+        X.append(dense)
+    if not all(math.isfinite(v) for v in labels + [v for dense in X for v in dense]):
+        return "DataError", None, None
+    return "ok", np.array(X, dtype=float).reshape(len(rows), width), np.array(labels)
+
+
 def expression_phi(kind: str, s: float, e):
     """``phi`` of the catalog as one numpy expression per kind, each
     operation making a new array."""

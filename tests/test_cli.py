@@ -76,6 +76,18 @@ class TestFitCommand:
         assert code == 0
         assert abs(_weights(out)["0"] - 4.0) <= 1e-3
 
+    @pytest.mark.parametrize("index", ["999999999999999", "99999999999999999999"])
+    def test_libsvm_index_too_wide_to_hold(self, tmp_path, capsys, index):
+        # 1e15 columns or more: 8 PB, more than a 64-bit process can map,
+        # so nothing is really allocated
+        libsvm = tmp_path / "wide.svm"
+        libsvm.write_text(f"1 {index}:1\n")
+        code = main(["fit", "--data", str(libsvm), "--format", "libsvm"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: a dense array of 1 rows by {index} features (the largest index) "
+            "is too large to hold\n")
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["fit", "--data", str(tmp_path / "nope.csv"),
                      "--label-column", "y"])
@@ -605,6 +617,11 @@ class TestBenchCommand:
          "got 'foo'\n"),
         ({"datasets": [{**_LINE_ENTRY, "gaussian_std": -1}]},
          "error: manifest dataset 'line' gaussian_std must be >= 0, got -1\n"),
+        # a key of another format is refused before its value is checked
+        ({"datasets": [{**_CSV_ENTRY, "seed": -1}]},
+         "error: manifest dataset 'a' of format 'csv' takes no key 'seed'\n"),
+        ({"datasets": [{"name": "b", "format": "libsvm", "path": "b.svm", "seed": -1}]},
+         "error: manifest dataset 'b' of format 'libsvm' takes no key 'seed'\n"),
     ])
     def test_bench_malformed_manifest(self, tmp_path, capsys, manifest, message):
         path = tmp_path / "manifest.json"
@@ -805,6 +822,20 @@ class TestUndecodableInput:
         assert code == 1
         assert err.startswith("error: cannot read") and "0xff" in err
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["bench", "--manifest"], "manifest"),
+    (["predict", "--data", "unread.csv", "--model"], "model"),
+])
+def test_json_nested_too_deep(tmp_path, capsys, argv, what):
+    # deeper than the JSON decoder's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    code = main(argv + [str(deep)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {what} is not valid JSON: ") and err.count("\n") == 1
 
 
 class TestTopLevel:

@@ -72,6 +72,9 @@ def test_this_checkout_against_itself(tmp_path, tool):
     assert {"predict-unlabelled.stdout", "predictions-unlabelled.csv", "fit-unscaled.stdout",
             "model-unscaled.json", "predict-unscaled.stdout",
             "predictions-unscaled.csv"} <= verdicts.keys()
+    # a libsvm fit and predict on a file of every token form
+    assert {"fit-libsvm.stdout", "model-libsvm.json", "predict-libsvm.stdout",
+            "predictions-libsvm.csv"} <= verdicts.keys()
     # the help of the two commands that read data files
     assert {"fit-help.stdout", "predict-help.stdout"} <= verdicts.keys()
     # the grid again with each preprocessing flag off
@@ -85,8 +88,10 @@ def test_this_checkout_against_itself(tmp_path, tool):
     # 1 and one "error:" line, or 3 and a failed benchmark cell
     expected = {f"errors/{name}": code for name, code, _ in tool.ERROR_CASES}
     assert expected.keys() <= verdicts.keys()
-    assert {"errors/csv-narrower-than-model",
-            "errors/fit-unlabelled-csv"} <= expected.keys()
+    assert {"errors/csv-narrower-than-model", "errors/fit-unlabelled-csv",
+            "errors/libsvm-bad-token", "errors/libsvm-index-1e15", "errors/libsvm-index-1e20",
+            "errors/csv-entry-negative-seed", "errors/manifest-nested-json",
+            "errors/model-nested-json"} <= expected.keys()
     for side in ("old", "new"):
         captured = tmp_path / "run" / side / "captured"
         for path in captured.rglob("*"):

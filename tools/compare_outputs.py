@@ -10,8 +10,9 @@ thread, on inputs generated once here from fixed seeds:
   ``relf predict`` on a generated CSV pair and on the same pair with the
   label as a middle column, a label-free ``relf predict`` on the test
   features alone, ``relf fit`` and ``relf predict`` of an unscaled
-  intercept model, ``relf fit --help`` and ``relf predict --help``, and
-  ``relf bench`` on a small
+  intercept model, ``relf fit --scale`` and ``relf predict`` on a libsvm
+  file of every token form the grammar allows, ``relf fit --help`` and
+  ``relf predict --help``, and ``relf bench`` on a small
   generated manifest of a CSV, a libsvm and a synthetic set, as it is and
   with ``scale_features`` or ``intercept`` off (:data:`BENCH_VARIANTS`):
   their stdout, ``model*.json``, ``predictions*.csv``, ``report.csv`` and
@@ -88,6 +89,10 @@ ERROR_CASES = (
      ["fit", "--data", "{in}/train.csv", "--no-header", "--label-column", "y"]),
     ("libsvm-index-0", 1, ["fit", "--format", "libsvm", "--data", "{in}/index-0.svm"]),
     ("empty-libsvm", 1, ["fit", "--format", "libsvm", "--data", "{in}/empty.svm"]),
+    ("libsvm-bad-token", 1, ["fit", "--format", "libsvm", "--data", "{in}/bad-token.svm"]),
+    # an index of 1e15 or more: a dense array too large for any 64-bit process
+    *((f"libsvm-index-{size}", 1, ["fit", "--format", "libsvm", "--data", f"{{in}}/{size}.svm"])
+      for size in ("1e15", "1e20")),
     ("empty-ensemble", 1, ["toy", "--ensemble", ""]),
     ("unknown-loss", 1, ["toy", "--ensemble", "welsch,cauchy"]),
     ("duplicate-loss", 1, ["toy", "--ensemble", "l1l2,huber,l1l2"]),
@@ -107,6 +112,14 @@ ERROR_CASES = (
     # as does a method whose value is refused
     ("negative-ridge", 1, ["bench", "--manifest", "{in}/negative-ridge.json",
                            "--output-dir", "negative-ridge"]),
+    # a key of another format is refused before its value is checked
+    ("csv-entry-negative-seed", 1, ["bench", "--manifest", "{in}/csv-entry-negative-seed.json",
+                                    "--output-dir", "csv-entry-negative-seed"]),
+    # JSON nested deeper than the decoder's recursion limit
+    ("manifest-nested-json", 1, ["bench", "--manifest", "{in}/nested.json",
+                                 "--output-dir", "manifest-nested-json"]),
+    ("model-nested-json", 1, ["predict", "--model", "{in}/nested.json", "--data",
+                              "{in}/test.csv", "--label-column", "y"]),
     # so does a model file that relf fit could not have written
     *((name, 1, ["predict", "--model", f"{{in}}/{name}.json", "--data", "{in}/test.csv",
                  "--label-column", "y"])
@@ -238,6 +251,21 @@ def make_inputs(root: Path, csv_rows: int) -> None:
         "intercept": True, "scaler": {"feature_min": [0.0], "feature_max": [1e-300]}}}
     (root / "model-narrow.json").write_text(json.dumps(narrow, indent=2) + "\n")
     (root / "far.csv").write_text("y,x\n1,0\n2,1e10\n3,0\n")
+    (root / "bad-token.svm").write_text("1 1:2.5\n2 1:3 2:x\n")
+    (root / "1e15.svm").write_text("1 999999999999999:1\n")
+    (root / "1e20.svm").write_text("1 99999999999999999999:1\n")
+    (root / "csv-entry-negative-seed.json").write_text(
+        json.dumps({**too_many, "cv": {}, "datasets": [{**entry, "seed": -1}]}) + "\n")
+    (root / "nested.json").write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    # libsvm with CRLF ends, tabs, a blank line of a tab, the indices "+3"
+    # and "05", a repeated index whose last value is -0.0 and a label-only line
+    X, y = _linear_rows(rng, 60, 5, 0.1)
+    lines = ["\t".join([repr(label)] + [f"{'+3' if j == 2 else '05' if j == 4 else j + 1}:{v!r}"
+                                       for j, v in enumerate(row)])
+             for label, row in zip(y.tolist(), X.tolist())]
+    lines[0] += " 1:-0.0"
+    lines[1:1] = ["\t", repr(float(y.mean()))]
+    (root / "edge.svm").write_bytes(("\r\n".join(lines) + "\r\n").encode())
 
 
 # --- one checkout's outputs -----------------------------------------------------
@@ -286,6 +314,10 @@ def run_side(checkout: Path, bench_dir: Path, inputs: Path, work: Path,
          "--output", "model-unscaled.json")
     relf("predict-unscaled.stdout", "predict", "--model", "model-unscaled.json", "--data",
          f"{data}/test.csv", "--label-column", "y", "--output", "predictions-unscaled.csv")
+    relf("fit-libsvm.stdout", "fit", "--format", "libsvm", "--data", f"{data}/edge.svm",
+         "--scale", "--output", "model-libsvm.json")
+    relf("predict-libsvm.stdout", "predict", "--model", "model-libsvm.json", "--format",
+         "libsvm", "--data", f"{data}/edge.svm", "--output", "predictions-libsvm.csv")
     relf("fit-help.stdout", "fit", "--help")
     relf("predict-help.stdout", "predict", "--help")
     shutil.copytree(inputs, work / "bench-inputs")
@@ -296,6 +328,7 @@ def run_side(checkout: Path, bench_dir: Path, inputs: Path, work: Path,
              "--output-dir", bench)
     for name in ("model.json", "predictions.csv", "model-mid.json", "predictions-mid.csv",
                  "predictions-unlabelled.csv", "model-unscaled.json", "predictions-unscaled.csv",
+                 "model-libsvm.json", "predictions-libsvm.csv",
                  *(f"{bench}/report.{ext}" for bench in benches for ext in ("csv", "json"))):
         path = work / name
         outputs[name] = path.read_text() if path.is_file() else "<missing>\n"
