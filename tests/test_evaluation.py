@@ -585,13 +585,24 @@ class TestCvFolds:
         X[:, data.draw(st.integers(0, d - 1))] = zeros
         ds = Dataset(X=X, y=np.arange(n, dtype=float) - n / 3)
         cv = CvConfig(folds=min(k, n), seed=data.draw(st.integers(0, 2**16)))
+        # the designs in fold order, training rows first; a test row far
+        # outside a subnormal training range overflows, and then cv_folds
+        # raises the first such error of its Preprocessing
+        designs = []
+        try:
+            for train, test in kfold_split(ds.n, cv):
+                want = Preprocessing.fit(ds.take(train), scale, intercept)
+                designs.append([want.apply(ds.take(ix)).X for ix in (train, test)])
+        except DataError as exc:
+            with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
+                cv_folds(ds, cv, scale_features=scale, intercept=intercept)
+            return
         folds = cv_folds(ds, cv, scale_features=scale, intercept=intercept)
         for j, (train, test) in enumerate(kfold_split(ds.n, cv)):
-            want = Preprocessing.fit(ds.take(train), scale, intercept)
-            for stack, ix in ((folds.train, train), (folds.test, test)):
+            for stack, ix, X in zip((folds.train, folds.test), (train, test), designs[j]):
                 design = np.zeros(stack.X.shape[1:])
                 labels = np.zeros(stack.y.shape[1])
-                design[:len(ix)] = want.apply(ds.take(ix)).X
+                design[:len(ix)] = X
                 labels[:len(ix)] = ds.y[ix]
                 assert stack.counts[j] == len(ix)
                 assert stack.X[j].tobytes() == design.tobytes()
